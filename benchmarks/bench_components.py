@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from repro.core.plm import PLM
-from repro.core.rmi import RMI
 from repro.harness.bench import calibration_dataset, default_cost_model
+from repro.indexes.flood import column_edges, column_of
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +41,11 @@ def test_bench_binary_search_lookup(benchmark, sorted_vals):
 
 
 @pytest.mark.benchmark(group="flatten")
-def test_bench_rmi_cdf(benchmark):
+def test_bench_column_of(benchmark):
     rng = np.random.default_rng(2)
-    m = RMI(rng.lognormal(0, 2, 100_000))
+    edges = column_edges(rng.lognormal(0, 2, 100_000), 64)
     probes = rng.lognormal(0, 2, 10_000)
-    out = benchmark(lambda: m.cdf(probes))
+    out = benchmark(lambda: column_of(edges, probes))
     assert out.shape == (10_000,)
 
 

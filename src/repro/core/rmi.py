@@ -1,11 +1,10 @@
 """Two-layer Recursive Model Index (RMI) over a sorted 1-D array.
 
-Used two ways, as in the paper:
-  * as an empirical-CDF model per attribute for *flattening* (§5.1) —
-    ``cdf(v)`` maps a value to the fraction of points <= v; and
-  * as the learned B-tree of the clustered single-dimensional baseline
-    (§7.2): root linear-spline model routes to leaf linear regressions
-    that predict a position, corrected by bounded local search.
+The learned B-tree of the clustered single-dimensional baseline (§7.2):
+a root linear-spline model routes to leaf linear regressions that
+predict a position, corrected by bounded local search. ``cdf(v)`` is the
+empirical CDF of the keys; Flood's flattening (§5.1) needs only its
+crossings of k/c, the column edges of ``repro.indexes.flood``.
 
 Layer 0 is a single linear spline over the value range; layer 1 holds
 ``n_experts`` linear regression leaves, each fit on the slice of keys its
@@ -72,14 +71,8 @@ class RMI:
         return self._err[self._route(v)]
 
     def cdf(self, v: np.ndarray | float) -> np.ndarray:
-        """Empirical CDF: fraction of keys <= v.
-
-        Flattening needs an exact, monotone, deterministic CDF (cell
-        assignment must reproduce bit-for-bit between build and query).
-        The model prediction narrows the search in the paper's C++ store;
-        in numpy the vectorized exact rank is the fast path, so we use it
-        directly — same function, same output, different constant factor.
-        """
+        """Empirical CDF: fraction of keys <= v (the exact rank; in numpy
+        the vectorized search is faster than a model-guided one)."""
         v = np.atleast_1d(np.asarray(v, dtype=np.float64))
         return np.searchsorted(self.keys, v, side="right") / self.n
 

@@ -1,16 +1,17 @@
 """Flood: the learned multi-dimensional in-memory index (§3–§5).
 
 Layout: dims are ordered; the last is the *sort dimension*, the first
-d−1 form a grid with ``cols[i]`` columns each. With flattening (§5.1)
-each grid dimension's columns are equi-mass under that attribute's
-empirical CDF (an RMI per dimension); without, columns are equal-width.
-Points are stored sorted by (cell id, sort-dim value), cell ids running
-in depth-first (row-major) order over the grid — exactly Fig 2.
+d−1 form a grid with ``cols[i]`` columns each. Each grid dimension keeps
+``cols[i] − 1`` ascending column edges (:func:`column_edges`): with
+flattening (§5.1) they are equi-mass under the attribute's empirical CDF,
+without they are equal-width. Points are stored sorted by (cell id,
+sort-dim value), cell ids running in depth-first (row-major) order over
+the grid — exactly Fig 2.
 
 Query flow (§3.2): *projection* intersects the query hyper-rectangle with
 the grid and turns cells into physical ranges via the cell table;
-*refinement* shrinks each range with the cell's δ-bounded PLM over the
-sort dimension (§5.2); *scan* executes on the column store, with ranges
+*refinement* shrinks each range by binary search over the cell's slice of
+the sort dimension; *scan* executes on the column store, with ranges
 proven exact skipping per-point checks (§7.1).
 
 Phase timings and per-query statistics are exposed in
@@ -20,15 +21,16 @@ Phase timings and per-query statistics are exposed in
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.columnstore.store import ColumnStore
-from repro.core.plm import PLM
 from repro.core.query import Query, QueryResult
-from repro.core.rmi import RMI
 from repro.indexes.base import BaseIndex, selectivity_order
+
+#: rows sampled per grid dimension to learn flattened column edges
+EDGE_SAMPLE = 200_000
 
 
 @dataclass
@@ -58,6 +60,55 @@ class Layout:
         return int(np.prod(self.cols, dtype=np.int64)) if self.cols else 1
 
 
+def column_of(edges: np.ndarray, v) -> np.ndarray:
+    """Column of value(s) ``v`` in a grid dimension: the number of edges
+    <= v. NaN sorts after every number, so it lands in the last column."""
+    return np.searchsorted(edges, v, side="right")
+
+
+def _flip(i: np.ndarray) -> np.ndarray:
+    """Maps float64 bit patterns to int64s in float order, and back."""
+    return np.where(i < 0, i ^ np.int64(0x7FFF_FFFF_FFFF_FFFF), i)
+
+
+def column_edges(values: np.ndarray, c: int, flatten: bool = True) -> np.ndarray:
+    """The ``c − 1`` ascending edges of a grid dimension with ``c`` columns.
+
+    Flattened (§5.1): a value with sample rank ``r`` (sample values <= it)
+    lies in column ``min(int((r/n)·c), c−1)``, so edge ``k`` is the
+    smallest sample value whose rank reaches column ``k``. Equal-width: a
+    value lies in column ``min(int(clip((v−min)/span, 0, 1)·c), c−1)``, and
+    edge ``k`` is the smallest float that formula puts in column ``k``
+    (NaN when none does). Either way :func:`column_of` reproduces the
+    formula's column for every value but NaN.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        raise ValueError("column edges need at least one value")
+    k = np.arange(1, c)
+    if flatten:
+        keys = np.sort(v)
+        col_of_rank = (np.arange(keys.size + 1) / keys.size * c).astype(np.int64)
+        return keys[np.searchsorted(col_of_rank, k) - 1]
+    with np.errstate(all="ignore"):
+        mn = v.min()
+        span = np.maximum(v.max() - mn, 1e-300)
+
+        def reaches(x: np.ndarray) -> np.ndarray:
+            return np.clip((x - mn) / span, 0.0, 1.0) * c >= k
+
+        # bisect over the floats in order, as int64 bit patterns
+        lo, hi = (np.full(k.size, _flip(np.float64(x).view(np.int64)))
+                  for x in (-np.inf, np.inf))
+        for _ in range(64):
+            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor((lo+hi)/2), no overflow
+            up = reaches(_flip(mid).view(np.float64))
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        edges = _flip(hi).view(np.float64)
+        return np.where(reaches(edges), edges, np.nan)
+
+
 def default_layout(data: np.ndarray, workload: list[Query],
                    target_cells: int | None = None, flatten: bool = True) -> Layout:
     """Heuristic (un-learned) layout: selectivity-ordered dims, most
@@ -76,30 +127,15 @@ def default_layout(data: np.ndarray, workload: list[Query],
 class FloodIndex(BaseIndex):
     name = "flood"
 
-    def __init__(self, layout: Layout | None = None, delta: float = 50.0,
-                 use_plm: bool = True, refine_with_plm: bool = False,
-                 plm_min_cell: int = 32, rmi_sample: int = 200_000):
+    def __init__(self, layout: Layout | None = None):
         super().__init__()
         self.layout = layout
-        self.delta = delta
-        self.use_plm = use_plm
-        # The PLM is the paper's fast per-cell lookup for a C++ store
-        # (§5.2); under numpy a single vectorized searchsorted on the
-        # cell's slice beats the PLM's multiple interpreter-level calls,
-        # so the hot path defaults to binary search and the PLM remains
-        # available (and always built/size-accounted when use_plm=True)
-        # for the §7.8-style model comparisons.
-        self.refine_with_plm = refine_with_plm
-        self.plm_min_cell = plm_min_cell
         #: above this many visited cells, refinement switches to the
         #: vectorized reduceat path (no per-cell interpreter overhead)
         self.batch_refine_cells = 128
-        self.rmi_sample = rmi_sample
-        self.cdfs: dict[int, RMI] = {}
+        self.edges: list[np.ndarray] = []   # per grid dim, in layout order
+        self._nan_free: list[bool] = []     # per grid dim: holds no NaN
         self.cell_starts: np.ndarray | None = None
-        self.plms: dict[int, PLM] = {}
-        self._mins: np.ndarray | None = None
-        self._spans: np.ndarray | None = None
 
     # -- build ---------------------------------------------------------------
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
@@ -109,15 +145,15 @@ class FloodIndex(BaseIndex):
         n, d = data.shape
         if len(L.order) != d:
             raise ValueError("layout order must cover all dims")
-        self._mins = data.min(axis=0)
-        self._spans = np.maximum(data.max(axis=0) - self._mins, 1e-300)
-        if L.flatten:
-            rng = np.random.default_rng(0)
-            for dim in L.grid_dims:
-                col = data[:, dim]
-                if n > self.rmi_sample:
-                    col = rng.choice(col, self.rmi_sample, replace=False)
-                self.cdfs[dim] = RMI(col)
+        rng = np.random.default_rng(0)
+        self.edges = []
+        self._nan_free = []
+        for dim, c in zip(L.grid_dims, L.cols):
+            col = data[:, dim]
+            self._nan_free.append(not np.isnan(col).any())
+            if L.flatten and n > EDGE_SAMPLE:
+                col = rng.choice(col, EDGE_SAMPLE, replace=False)
+            self.edges.append(column_edges(col, c, L.flatten))
         cell_ids = self._cell_ids(data)
         order = np.lexsort((data[:, L.sort_dim], cell_ids))
         self.store = ColumnStore(data[order])
@@ -126,42 +162,21 @@ class FloodIndex(BaseIndex):
         self.cell_starts = np.searchsorted(
             sorted_cells, np.arange(ncells + 1, dtype=np.int64)
         )
-        # Per-cell CDF models over the sort dimension (§5.2). Cells smaller
-        # than plm_min_cell use direct binary search — a PLM there costs
-        # more space than it saves time.
         sizes = np.diff(self.cell_starts)
         self._size_stats = (
             float(sizes.mean()),
             float(np.median(sizes)),
             float(np.quantile(sizes, 0.99)),
         )
-        self.plms = {}
-        if self.use_plm:
-            sort_col = self.store.cols[L.sort_dim]
-            sizes = np.diff(self.cell_starts)
-            for cid in np.where(sizes >= self.plm_min_cell)[0]:
-                s, e = self.cell_starts[cid], self.cell_starts[cid + 1]
-                self.plms[int(cid)] = PLM(sort_col[s:e], delta=self.delta)
-
-    def _flat_u(self, dim: int, v: np.ndarray) -> np.ndarray:
-        """Map values to [0, 1]: CDF when flattening, min-max otherwise."""
-        if self.layout.flatten and dim in self.cdfs:
-            return self.cdfs[dim].cdf(v)
-        return np.clip((np.asarray(v, dtype=np.float64) - self._mins[dim])
-                       / self._spans[dim], 0.0, 1.0)
-
-    def _col_of(self, dim: int, c: int, v: np.ndarray) -> np.ndarray:
-        """Column index of value(s) v along grid dim with c columns."""
-        u = self._flat_u(dim, np.atleast_1d(v))
-        return np.clip((u * c).astype(np.int64), 0, c - 1)
 
     def _cell_ids(self, data: np.ndarray) -> np.ndarray:
         L = self.layout
         ids = np.zeros(data.shape[0], dtype=np.int64)
         stride = 1
         # row-major: first grid dim most significant → build from last dim up
-        for dim, c in zip(reversed(L.grid_dims), reversed(L.cols)):
-            ids += self._col_of(dim, c, data[:, dim]) * stride
+        for dim, c, edges in zip(reversed(L.grid_dims), reversed(L.cols),
+                                 reversed(self.edges)):
+            ids += column_of(edges, data[:, dim]) * stride
             stride *= c
         return ids
 
@@ -239,11 +254,12 @@ class FloodIndex(BaseIndex):
         L = self.layout
         col_ranges: list[tuple[int, int]] = []
         interior_masks: list[np.ndarray] = []
-        for dim, c in zip(L.grid_dims, L.cols):
+        for dim, c, edges, nan_free in zip(L.grid_dims, L.cols, self.edges,
+                                           self._nan_free):
             if q.filters(dim):
                 lo, hi = q.ranges[dim]
-                clo = int(self._col_of(dim, c, max(lo, -1e300))[0]) if np.isfinite(lo) else 0
-                chi = int(self._col_of(dim, c, min(hi, 1e300))[0]) if np.isfinite(hi) else c - 1
+                clo = int(column_of(edges, lo)) if np.isfinite(lo) else 0
+                chi = int(column_of(edges, hi)) if np.isfinite(hi) else c - 1
                 cols = np.arange(clo, chi + 1)
                 # interior columns match the filter for sure (see §3.2.1);
                 # boundary columns need per-point checks
@@ -252,6 +268,8 @@ class FloodIndex(BaseIndex):
                     inner |= cols < chi
                 if not np.isfinite(hi):
                     inner |= cols > clo
+                    # NaN values, which match no filter, sit in the last column
+                    inner[-1] &= nan_free
                 col_ranges.append((clo, chi))
                 interior_masks.append(inner)
             else:
@@ -335,8 +353,9 @@ class FloodIndex(BaseIndex):
 
     def _refine(self, q: Query, cells: np.ndarray, interior_ok: np.ndarray,
                 sort_filtered: bool):
-        """Per-cell range refinement over the sort dimension (§3.2.2/§5.2),
-        plus merging of physically-contiguous unrefined cells."""
+        """Per-cell range refinement over the sort dimension (§3.2.2), by
+        binary search on the cell's sorted slice, plus merging of
+        physically-contiguous unrefined cells."""
         L = self.layout
         starts = self.cell_starts[cells]
         ends = self.cell_starts[cells + 1]
@@ -346,21 +365,12 @@ class FloodIndex(BaseIndex):
             has_a, has_b = bool(np.isfinite(a)), bool(np.isfinite(b))
             sort_col = self.store.cols[L.sort_dim]
             search = np.searchsorted
-            use_plm_lookup = self.refine_with_plm and self.plms
-            plm_get = self.plms.get
-            for cid, s, e, inner in zip(
-                cells.tolist(), starts.tolist(), ends.tolist(), interior_ok.tolist()
-            ):
+            for s, e, inner in zip(starts.tolist(), ends.tolist(), interior_ok.tolist()):
                 if e <= s:
                     continue
-                plm = plm_get(cid) if use_plm_lookup else None
-                if plm is not None:
-                    i1 = s + (plm.lookup_left(a) if has_a else 0)
-                    i2 = s + (plm.lookup_right(b) if has_b else (e - s))
-                else:
-                    seg = sort_col[s:e]
-                    i1 = s + search(seg, a, "left") if has_a else s
-                    i2 = s + search(seg, b, "right") if has_b else e
+                seg = sort_col[s:e]
+                i1 = s + search(seg, a, "left") if has_a else s
+                i2 = s + search(seg, b, "right") if has_b else e
                 if i2 > i1:
                     # refinement makes the sort dim exact; grid dims must be
                     # interior for the whole range to be exact
@@ -388,11 +398,6 @@ class FloodIndex(BaseIndex):
 
     # -- introspection -------------------------------------------------------
     def index_size_bytes(self) -> int:
-        """Grid metadata + cell table + per-cell models ("over 95% from the
-        models of the sort attribute", §7.4)."""
+        """Exact metadata size: the cell table plus the column edges."""
         total = self.cell_starts.nbytes if self.cell_starts is not None else 0
-        for m in self.cdfs.values():
-            total += m.keys.nbytes // max(1, m.n // 1024)  # boundary summary
-        for p in self.plms.values():
-            total += p.size_bytes()
-        return int(total)
+        return int(total + sum(e.nbytes for e in self.edges))

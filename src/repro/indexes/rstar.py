@@ -68,7 +68,9 @@ class RStarTree(BaseIndex):
         n_pages = (idx.size + self.page_size - 1) // self.page_size
         rem = self.d - depth
         n_slices = max(1, int(np.ceil(n_pages ** (1 / rem))))
-        slice_sz = (idx.size + n_slices - 1) // n_slices
+        # whole pages per slice, so no leaf page straddles two tiles (STR,
+        # Leutenegger et al., ICDE 1997)
+        slice_sz = -(-n_pages // n_slices) * self.page_size
         parts = [
             self._str_order(order[s: s + slice_sz], data, depth + 1)
             for s in range(0, idx.size, slice_sz)

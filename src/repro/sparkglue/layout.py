@@ -4,11 +4,11 @@ This is the distributed realization of §3.1 (per the reproduction band:
 "a custom partitioning/sort scheme applied per-partition then scanned via
 DataFrame filters with data skipping"):
 
-1. :func:`learn_boundaries` — per grid dimension, equi-mass column
-   boundaries from a sample (the flattening CDF of §5.1 evaluated at
-   k/c_i); skipping flattening yields equal-width boundaries.
+1. :func:`learn_boundaries` — per grid dimension, the column edges of
+   :func:`repro.indexes.flood.column_edges` learned from a sample, so a
+   full sample puts every row in the cell ``FloodIndex`` gives it.
 2. :func:`apply_flood_layout` — a pandas UDF assigns each row its cell id
-   (np.searchsorted against the broadcast boundaries, mixed-radix over
+   (``column_of`` against the broadcast boundaries, mixed-radix over
    grid dims), then ``repartitionByRange(cell_id)`` +
    ``sortWithinPartitions(cell_id, sort_dim)`` materializes exactly
    Flood's storage order: cells contiguous, sort-dim ordered within.
@@ -28,7 +28,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType
 
-from repro.indexes.flood import Layout
+from repro.indexes.flood import Layout, column_edges, column_of
 
 CELL_COL = "__flood_cell"
 
@@ -55,13 +55,7 @@ def learn_boundaries(df: DataFrame, layout: Layout, dim_cols: list[str],
     boundaries: dict[int, np.ndarray] = {}
     for dim, c in zip(layout.grid_dims, layout.cols):
         col = sample[dim_cols[dim]].to_numpy(dtype=np.float64)
-        if layout.flatten:
-            qs = np.arange(1, c) / c
-            b = np.quantile(col, qs) if c > 1 else np.empty(0)
-        else:
-            lo, hi = col.min(), col.max()
-            b = lo + (hi - lo) * np.arange(1, c) / c
-        boundaries[dim] = np.asarray(b, dtype=np.float64)
+        boundaries[dim] = column_edges(col, c, layout.flatten)
     return SparkFloodLayout(layout=layout, dim_cols=dim_cols, boundaries=boundaries)
 
 
@@ -78,8 +72,8 @@ def cell_id_expr(sfl: SparkFloodLayout):
         ids = np.zeros(len(series[0]), dtype=np.int64)
         stride = 1
         for s, b, c in zip(reversed(series), reversed(bounds), reversed(cols)):
-            col_idx = np.searchsorted(b, s.to_numpy(dtype=np.float64), side="right")
-            ids += np.clip(col_idx, 0, c - 1) * stride
+            # column_of, inlined: Python workers need not import repro
+            ids += np.searchsorted(b, s.to_numpy(dtype=np.float64), side="right") * stride
             stride *= c
         return pd.Series(ids)
 
@@ -113,9 +107,7 @@ def cell_runs_for_query(sfl: SparkFloodLayout,
         name = sfl.dim_cols[dim]
         if name in bounds:
             lo, hi = bounds[name]
-            b = boundaries[dim]
-            clo = int(np.clip(np.searchsorted(b, lo, side="right"), 0, c - 1))
-            chi = int(np.clip(np.searchsorted(b, hi, side="right"), 0, c - 1))
+            clo, chi = column_of(boundaries[dim], [lo, hi])
             per_dim.append(np.arange(clo, chi + 1))
         else:
             per_dim.append(np.arange(c))
@@ -126,14 +118,6 @@ def cell_runs_for_query(sfl: SparkFloodLayout,
         strides[i] = strides[i + 1] * layout.cols[i + 1]
     mesh = np.meshgrid(*[g * s for g, s in zip(per_dim, strides)], indexing="ij")
     cells = np.sort(np.asarray(sum(mesh)).ravel())
-    runs: list[tuple[int, int]] = []
-    run_s = prev = int(cells[0])
-    for cid in cells[1:]:
-        cid = int(cid)
-        if cid == prev + 1:
-            prev = cid
-            continue
-        runs.append((run_s, prev))
-        run_s = prev = cid
-    runs.append((run_s, prev))
-    return runs
+    cut = np.flatnonzero(np.diff(cells) != 1) + 1
+    starts, ends = cells[np.r_[0, cut]], cells[np.r_[cut - 1, cells.size - 1]]
+    return list(zip(starts.tolist(), ends.tolist()))

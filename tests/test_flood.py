@@ -1,4 +1,6 @@
 """Flood index: correctness vs brute force, exactness, flattening, layouts."""
+import math
+
 import numpy as np
 import pytest
 
@@ -124,10 +126,24 @@ def test_one_dimensional_data():
 
 def test_no_plm_fallback_binary_search():
     data = make_data("uniform")
-    idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[4, 4, 4]), use_plm=False).build(data)
+    idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[4, 4, 4])).build(data)
     rng = np.random.default_rng(11)
     for _ in range(5):
         q = rand_query(data, rng)
+        assert idx.query(q).value == q.mask(data).sum()
+
+
+@pytest.mark.parametrize("flatten", [True, False])
+def test_nan_grid_values_never_counted_as_matches(flatten):
+    """NaN matches no filter. It sits in a grid dimension's last column,
+    which an open upper bound must then not claim as exact."""
+    data = make_data("uniform", n=2000)
+    data[::7, 0] = np.nan
+    idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[4, 3, 2],
+                                   flatten=flatten)).build(data)
+    for bounds in ({0: (10.0, np.inf)}, {0: (-np.inf, 60.0)}, {0: (20.0, 70.0)},
+                   {1: (5.0, np.inf)}):
+        q = query_from_dict(4, bounds)
         assert idx.query(q).value == q.mask(data).sum()
 
 
@@ -163,3 +179,29 @@ def test_index_size_reported():
     data = make_data("uniform")
     idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[4, 4, 4])).build(data)
     assert idx.index_size_bytes() > 0
+
+
+def test_exact_range_sum_matches_fsum():
+    """SUM over exact ranges comes from prefix sums (§7.1(2)). It must stay
+    within 1e-9·fsum|x| of the exactly rounded sum, also when a query
+    sums a few small values far down a long column."""
+    rng = np.random.default_rng(3)
+    n = 200_000
+    data = np.column_stack([rng.random(n) * 100, rng.lognormal(0, 2, n),
+                            rng.lognormal(0, 2, n)])
+    idx = FloodIndex(layout=Layout(order=[0, 1, 2], cols=[4, 8])).build(data)
+    srt = np.sort(data[:, 2])
+    for t in range(120):
+        # sort-dim-only filters: every refined range is exact; a third of
+        # the queries select among the smallest 1% of values
+        i = int(rng.integers(0, n // 100 if t % 3 == 0 else n - 5000))
+        k = int(rng.integers(1, 50 if t % 2 else 5000))
+        q = query_from_dict(3, {2: (srt[i], srt[i + k])}, agg=AGG_SUM,
+                            agg_dim=int(rng.integers(0, 3)))
+        r = idx.query(q)
+        assert r.n_exact == r.n_scanned > 0
+        x = data[q.mask(data), q.agg_dim]
+        assert abs(r.value - math.fsum(x)) <= 1e-9 * math.fsum(np.abs(x)), t
+    whole = idx.query(query_from_dict(3, {}, agg=AGG_SUM, agg_dim=1))
+    assert whole.n_exact == n
+    assert abs(whole.value - math.fsum(data[:, 1])) <= 1e-9 * math.fsum(data[:, 1])

@@ -11,7 +11,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data
-from repro.indexes.flood import Layout
+from repro.indexes.flood import FloodIndex, Layout
 from repro.oracle import assert_equivalent
 from repro.sparkglue.layout import (CELL_COL, apply_flood_layout,
                                     cell_runs_for_query, learn_boundaries)
@@ -175,3 +175,18 @@ def test_flatten_false_uses_equal_width(spark, li_pdf):
     widths = np.diff(np.concatenate(([li_pdf["l_orderkey"].min()], b,
                                      [li_pdf["l_orderkey"].max()])))
     assert widths.std() / widths.mean() < 0.1
+
+
+@pytest.mark.parametrize("flatten", [True, False])
+def test_spark_and_numpy_assign_every_row_the_same_cell(spark, li_pdf, flatten):
+    """Learned from the whole table, Spark's ``__flood_cell`` of every row
+    equals the cell ``FloodIndex`` puts it in: both use one edge primitive."""
+    lay = Layout(order=[3, 2, 0, 1], cols=[6, 6, 4], flatten=flatten)
+    sfl = learn_boundaries(spark.createDataFrame(li_pdf), lay, DIM_COLS,
+                           sample_rows=2 * len(li_pdf))
+    got = (apply_flood_layout(spark.createDataFrame(li_pdf), sfl, num_partitions=4)
+           .select(*DIM_COLS, CELL_COL).toPandas())
+    assert len(got) == len(li_pdf)
+    idx = FloodIndex(layout=lay).build(li_pdf[DIM_COLS].to_numpy(dtype=np.float64))
+    want = idx._cell_ids(got[DIM_COLS].to_numpy(dtype=np.float64))
+    np.testing.assert_array_equal(got[CELL_COL].to_numpy(), want)

@@ -1,8 +1,10 @@
 """Column store: scans, exact ranges, cumulative aggregates, counters."""
+import math
+
 import numpy as np
 import pytest
 
-from repro.columnstore.store import ColumnStore
+from repro.columnstore.store import ColumnStore, prefix_sums
 from repro.core.query import AGG_SUM, query_from_dict
 
 
@@ -72,6 +74,28 @@ def test_no_cumsum_fallback(data):
     q = query_from_dict(3, {}, agg=AGG_SUM, agg_dim=1)
     s = st.scan([(0, 500, True)], q)
     assert np.isclose(s.value, data[:500, 1].sum())
+
+
+def test_prefix_sums_are_correctly_rounded():
+    rng = np.random.default_rng(4)
+    for x in (rng.lognormal(0, 2, 150_000), rng.normal(0, 1, 150_000),
+              np.concatenate([[1e15], rng.random(5000)])):
+        p = prefix_sums(x)
+        # every 4999th prefix, and both sides of the error pass's blocks
+        for i in [*range(0, x.size + 1, 4999), 65535, 65536, 65537, x.size]:
+            i = min(i, x.size)
+            assert p[i] == math.fsum(x[:i])
+
+
+def test_exact_sum_after_infinite_value(data):
+    """An infinite value poisons the prefix sums after it; exact ranges
+    there are summed directly and stay finite."""
+    d = data.copy()
+    d[10, 1] = np.inf
+    st = ColumnStore(d)
+    q = query_from_dict(3, {}, agg=AGG_SUM, agg_dim=1)
+    assert st.scan([(100, 300, True)], q).value == pytest.approx(d[100:300, 1].sum())
+    assert st.scan([(0, 300, True)], q).value == np.inf
 
 
 def test_matrix_roundtrip(data):
