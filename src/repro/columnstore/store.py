@@ -23,6 +23,7 @@ SO — the implementation-agnostic metric — is unaffected).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,16 @@ def prefix_sums(c: np.ndarray) -> np.ndarray:
     return p
 
 
+def _positions(starts: np.ndarray, ends: np.ndarray):
+    """The rows of the nonempty ranges ``[starts[k], ends[k])`` in order:
+    a slice for one range, else one ``repeat`` of each range's shift."""
+    if starts.size == 1:
+        return slice(int(starts[0]), int(ends[0]))
+    lens = ends - starts
+    shift = starts - (np.cumsum(lens) - lens)
+    return np.repeat(shift, lens) + np.arange(int(lens.sum()))
+
+
 @dataclass
 class ScanStats:
     value: float
@@ -87,73 +98,57 @@ class ColumnStore:
         """Dense (n, d) view of the stored order (tests / rebuilds)."""
         return np.column_stack(self.cols)
 
-    def scan(self, ranges: list[tuple[int, int, bool]], q: Query) -> ScanStats:
-        """Scan physical ``[start, end)`` ranges; ``exact=True`` ranges skip
-        filter checks (§7.1). Returns the aggregate and counters.
+    def scan(self, starts: np.ndarray, ends: np.ndarray, exact: np.ndarray,
+             q: Query) -> ScanStats:
+        """Scan the physical ranges ``[starts[k], ends[k])``; ranges with
+        ``exact[k]`` skip filter checks (§7.1), and empty or inverted ones
+        scan nothing. Returns the aggregate and counters.
 
-        The timer covers only this function: indexes time their own
-        projection/refinement and report it separately (Table 2's IT).
+        Outside the direct-sum fallback the work is a fixed number of numpy
+        calls however many ranges there are, so many small ranges (fine
+        grids, refined cells) stay cheap. The timer covers only this
+        function: indexes time their own projection/refinement and report
+        it separately (Table 2's IT).
         """
-        import time
-
         t0 = time.perf_counter()
-        fdims = q.filtered_dims
-        bounds = q.ranges
-        total = 0.0
-        n_scanned = 0
-        n_matched = 0
-        n_exact = 0
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        exact = np.asarray(exact, dtype=bool)
+        keep = ends > starts
+        ex = keep & exact
+        inex = keep ^ ex
         want_sum = q.agg == AGG_SUM
         agg_col = self.cols[q.agg_dim] if want_sum else None
-        # Split once; both paths below are batched across ranges so that
-        # per-range overhead stays O(1) numpy calls total, not per range —
-        # many small ranges (fine grids, refined cells) must stay cheap.
-        ex_s, ex_e, in_s, in_e = [], [], [], []
-        for start, end, exact in ranges:
-            if end <= start:
-                continue
-            (ex_s if exact else in_s).append(start)
-            (ex_e if exact else in_e).append(end)
-        if ex_s:
-            s_arr = np.asarray(ex_s, dtype=np.int64)
-            e_arr = np.asarray(ex_e, dtype=np.int64)
-            m = int((e_arr - s_arr).sum())
-            n_scanned += m
-            n_exact += m
-            n_matched += m
-            if want_sum:
-                if self._cums is not None:
-                    cs = self._cums[q.agg_dim]
-                    ps, pe = cs[s_arr], cs[e_arr]
-                    # prefix sums are within half an ulp, so pe - ps errs by
-                    # under 2**-52·(|ps| + |pe|); NaN (inf - inf) fails the test too
-                    with np.errstate(invalid="ignore"):
-                        sums = pe - ps
-                        direct = ~(np.ldexp(np.abs(ps) + np.abs(pe), -52)
-                                   <= SUM_RTOL * np.abs(sums))
-                    for k in np.flatnonzero(direct).tolist():
-                        sums[k] = agg_col[ex_s[k]:ex_e[k]].sum()
-                    total += float(sums.sum())
-                else:
-                    total += float(
-                        sum(agg_col[s:e].sum() for s, e in zip(ex_s, ex_e))
-                    )
+        total = 0.0
+
+        n_exact = n_scanned = n_matched = 0
+        if np.count_nonzero(ex):
+            ex_s, ex_e = starts[ex], ends[ex]
+            n_exact = n_scanned = n_matched = int((ex_e - ex_s).sum())
+            if not want_sum:
+                total += n_exact
+            elif self._cums is None:
+                total += float(agg_col[_positions(ex_s, ex_e)].sum())
             else:
-                total += m
-        if in_s:
-            if len(in_s) == 1:
-                idx = slice(in_s[0], in_e[0])
-                m = in_e[0] - in_s[0]
-            else:
-                idx = np.concatenate(
-                    [np.arange(s, e) for s, e in zip(in_s, in_e)]
-                )
-                m = idx.size
+                cs = self._cums[q.agg_dim]
+                ps, pe = cs[ex_s], cs[ex_e]
+                # prefix sums are within half an ulp, so pe - ps errs by
+                # under 2**-52·(|ps| + |pe|); NaN (inf - inf) fails the test too
+                with np.errstate(invalid="ignore"):
+                    sums = pe - ps
+                    direct = ~(np.ldexp(np.abs(ps) + np.abs(pe), -52)
+                               <= SUM_RTOL * np.abs(sums))
+                for k in np.flatnonzero(direct).tolist():
+                    sums[k] = agg_col[ex_s[k]:ex_e[k]].sum()
+                total += float(sums.sum())
+        if np.count_nonzero(inex):
+            idx = _positions(starts[inex], ends[inex])
+            m = idx.stop - idx.start if isinstance(idx, slice) else idx.size
             n_scanned += m
             mask = None
-            for dim in fdims:
+            for dim in q.filtered_dims:
                 col = self.cols[dim][idx]
-                lo, hi = bounds[dim]
+                lo, hi = q.ranges[dim]
                 cond = (col >= lo) & (col <= hi)
                 mask = cond if mask is None else (mask & cond)
             if mask is None:
@@ -177,15 +172,14 @@ class ColumnStore:
 
     def scan_gather(self, idx: np.ndarray, exact_mask: np.ndarray,
                     q: Query) -> ScanStats:
-        """Scan an explicit physical-position array (the vectorized twin of
-        :meth:`scan`, used by Flood's batched refinement).
+        """Scan an explicit physical-position array (a gather twin of
+        :meth:`scan`). No index calls it; the benchmark tracer in
+        ``perfbench/`` still wraps it by name.
 
         ``exact_mask`` marks positions known to match without checking
         (§7.1's exact ranges, per point). Fully vectorized: one gather +
         one filter pass regardless of how many cells contributed.
         """
-        import time
-
         t0 = time.perf_counter()
         want_sum = q.agg == AGG_SUM
         n_scanned = int(idx.size)

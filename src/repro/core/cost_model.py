@@ -124,11 +124,16 @@ class CostModel:
 
 def random_layout(d: int, n: int, rng: np.random.Generator) -> Layout:
     """A random layout for calibration: random dim order, random column
-    counts hitting a random target total cell count (§4.1.1)."""
+    counts hitting a random target total cell count (§4.1.1).
+
+    The target is log-uniform from one cell up to about n/8, the range the
+    optimizer searches: the forests cannot predict layouts coarser than any
+    they were fitted on, and a few cells is often the best layout.
+    """
     order = list(rng.permutation(d))
     if d == 1:
         return Layout(order=order, cols=[])
-    target = int(10 ** rng.uniform(1.0, np.log10(max(20, n / 8))))
+    target = int(10 ** rng.uniform(0.0, np.log10(max(20, n / 8))))
     cols = []
     remaining = target
     for i in range(d - 1):

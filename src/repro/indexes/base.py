@@ -58,8 +58,9 @@ class BaseIndex:
             raise ValueError(f"query dims {q.d} != index dims {self.d}")
         t0 = time.perf_counter()
         ranges, n_cells = self._ranges(q)
+        r = np.array(ranges, dtype=np.int64).reshape(-1, 3)
         index_time = time.perf_counter() - t0
-        stats = self.store.scan(ranges, q)
+        stats = self.store.scan(r[:, 0], r[:, 1], r[:, 2].astype(bool), q)
         return QueryResult(
             value=stats.value,
             n_matched=stats.n_matched,

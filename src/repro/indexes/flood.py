@@ -9,10 +9,14 @@ sort-dim value), cell ids running in depth-first (row-major) order over
 the grid — exactly Fig 2.
 
 Query flow (§3.2): *projection* intersects the query hyper-rectangle with
-the grid and turns cells into physical ranges via the cell table;
-*refinement* shrinks each range by binary search over the cell's slice of
-the sort dimension; *scan* executes on the column store, with ranges
-proven exact skipping per-point checks (§7.1).
+the grid to find the visited cells; *refinement* turns each visited cell
+into the physical range of its rows whose sort-dim value lies in the
+query's range. Rows are stored sorted by the int64 key
+``cell id · U + rank of the sort value`` (U distinct sort values, NaN
+ranked last), so two binary searches of that key, for the range starts
+and the range ends, find every range at once;
+*scan* executes on the column store, with ranges proven exact skipping
+per-point checks (§7.1).
 
 Phase timings and per-query statistics are exposed in
 ``QueryResult.extra`` — they are the features/targets of the cost model
@@ -20,6 +24,7 @@ Phase timings and per-query statistics are exposed in
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -130,11 +135,10 @@ class FloodIndex(BaseIndex):
     def __init__(self, layout: Layout | None = None):
         super().__init__()
         self.layout = layout
-        #: above this many visited cells, refinement switches to the
-        #: vectorized reduceat path (no per-cell interpreter overhead)
-        self.batch_refine_cells = 128
         self.edges: list[np.ndarray] = []   # per grid dim, in layout order
         self._nan_free: list[bool] = []     # per grid dim: holds no NaN
+        self.sort_keys: np.ndarray | None = None  # distinct sort-dim values
+        self.key: np.ndarray | None = None  # per stored row, ascending
         self.cell_starts: np.ndarray | None = None
 
     # -- build ---------------------------------------------------------------
@@ -154,13 +158,16 @@ class FloodIndex(BaseIndex):
             if L.flatten and n > EDGE_SAMPLE:
                 col = rng.choice(col, EDGE_SAMPLE, replace=False)
             self.edges.append(column_edges(col, c, L.flatten))
-        cell_ids = self._cell_ids(data)
-        order = np.lexsort((data[:, L.sort_dim], cell_ids))
+        # rows sort by the key cell id · U + rank of the sort value, over
+        # the U distinct sort values (NaN last), which refinement searches
+        self.sort_keys, self.key = np.unique(data[:, L.sort_dim], return_inverse=True)
+        width = self.sort_keys.size
+        self.key += self._cell_ids(data) * width
+        order = np.argsort(self.key, kind="stable")
+        self.key = self.key[order]
         self.store = ColumnStore(data[order])
-        sorted_cells = cell_ids[order]
-        ncells = L.n_cells
-        self.cell_starts = np.searchsorted(
-            sorted_cells, np.arange(ncells + 1, dtype=np.int64)
+        self.cell_starts = self.key.searchsorted(
+            np.arange(L.n_cells + 1, dtype=np.int64) * width
         )
         sizes = np.diff(self.cell_starts)
         self._size_stats = (
@@ -193,31 +200,12 @@ class FloodIndex(BaseIndex):
 
         sort_filtered = q.filters(L.sort_dim)
         t0 = time.perf_counter()
-        # Queries that visit many cells use the batched (reduceat) refine +
-        # gather scan — O(points in visited cells) of vectorized work with
-        # no per-cell interpreter cost; small projections use the per-cell
-        # path whose range list the store scans directly.
-        gather = None
-        if sort_filtered and cells.size > self.batch_refine_cells:
-            # crossover: per-cell loop is ~O(cells) interpreter work,
-            # batched is ~O(points in visited cells) vectorized work
-            pts = int(
-                (self.cell_starts[cells + 1] - self.cell_starts[cells]).sum()
-            )
-            if cells.size * 2.5e-6 > pts * 1.2e-8:
-                gather = self._refine_batched(q, cells, interior_ok)
-        if gather is None:
-            ranges = self._refine(q, cells, interior_ok, sort_filtered)
+        starts, ends, exact = self._refine(q, cells, interior_ok, sort_filtered)
         t_ref = time.perf_counter() - t0
 
-        if gather is not None:
-            stats = self.store.scan_gather(gather[0], gather[1], q)
-            avg_run = gather[0].size / max(1, cells.size)
-        else:
-            stats = self.store.scan(ranges, q)
-            avg_run = float(
-                np.mean([e - s for s, e, _ in ranges]) if ranges else 0.0
-            )
+        stats = self.store.scan(starts, ends, exact, q)
+        # every range is nonempty, so their mean length is scanned / ranges
+        avg_run = stats.n_scanned / starts.size if starts.size else 0.0
         n_cells = int(cells.size)
         mean_sz, med_sz, p99_sz = self._size_stats
         return QueryResult(
@@ -241,10 +229,6 @@ class FloodIndex(BaseIndex):
             },
         )
 
-    def _ranges(self, q: Query):  # BaseIndex hook (used by generic tests)
-        cells, _, interior_ok = self._project(q)
-        return self._refine(q, cells, interior_ok, q.filters(self.layout.sort_dim)), int(cells.size)
-
     def _project(self, q: Query):
         """Intersect the query rectangle with the grid (§3.2.1).
 
@@ -258,18 +242,21 @@ class FloodIndex(BaseIndex):
                                            self._nan_free):
             if q.filters(dim):
                 lo, hi = q.ranges[dim]
-                clo = int(column_of(edges, lo)) if np.isfinite(lo) else 0
-                chi = int(column_of(edges, hi)) if np.isfinite(hi) else c - 1
+                # only ±inf is open; a NaN bound is looked up like a number
+                clo = 0 if lo == -np.inf else int(column_of(edges, lo))
+                chi = c - 1 if hi == np.inf else int(column_of(edges, hi))
                 cols = np.arange(clo, chi + 1)
                 # interior columns match the filter for sure (see §3.2.1);
                 # boundary columns need per-point checks
                 inner = (cols > clo) & (cols < chi)
-                if not np.isfinite(lo):
+                if lo == -np.inf:
                     inner |= cols < chi
-                if not np.isfinite(hi):
+                if hi == np.inf:
                     inner |= cols > clo
                     # NaN values, which match no filter, sit in the last column
                     inner[-1] &= nan_free
+                if math.isnan(lo) or math.isnan(hi):
+                    inner[:] = False  # a NaN bound matches no row
                 col_ranges.append((clo, chi))
                 interior_masks.append(inner)
             else:
@@ -311,93 +298,45 @@ class FloodIndex(BaseIndex):
             interior_ok = iacc
         return cells, col_ranges, interior_ok
 
-    def _refine_batched(self, q: Query, cells: np.ndarray,
-                        interior_ok: np.ndarray):
-        """Vectorized refinement over all visited cells at once.
-
-        Within each cell the sort column is sorted, so the refined start
-        of cell k is ``start_k + #\\{v < a\\}`` — computed for every cell in
-        one ``np.add.reduceat`` over the gathered segments. Returns
-        (physical positions to scan, per-position exactness) or None when
-        the visited cells are empty.
-        """
-        L = self.layout
-        a, b = q.ranges[L.sort_dim]
-        starts = self.cell_starts[cells]
-        ends = self.cell_starts[cells + 1]
-        keep = ends > starts
-        if not keep.any():
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-        starts, ends = starts[keep], ends[keep]
-        inner = interior_ok[keep]
-        lens = ends - starts
-        total = int(lens.sum())
-        offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        # gather positions: base + within-cell rank, fully vectorized
-        rank = np.arange(total, dtype=np.int64) - np.repeat(offsets, lens)
-        idx = np.repeat(starts, lens) + rank
-        seg = self.store.cols[L.sort_dim][idx]
-        if np.isfinite(a):
-            cnt_a = np.add.reduceat((seg < a).astype(np.int64), offsets)
-        else:
-            cnt_a = np.zeros(lens.size, dtype=np.int64)
-        if np.isfinite(b):
-            cnt_b = np.add.reduceat((seg <= b).astype(np.int64), offsets)
-        else:
-            cnt_b = lens
-        sel = (rank >= np.repeat(cnt_a, lens)) & (rank < np.repeat(cnt_b, lens))
-        # refinement makes the sort dim exact; the grid dims must be
-        # interior for a point to skip filter checks entirely
-        exact_pp = np.repeat(inner, lens)[sel]
-        return idx[sel], exact_pp
-
     def _refine(self, q: Query, cells: np.ndarray, interior_ok: np.ndarray,
                 sort_filtered: bool):
-        """Per-cell range refinement over the sort dimension (§3.2.2), by
-        binary search on the cell's sorted slice, plus merging of
-        physically-contiguous unrefined cells."""
-        L = self.layout
-        starts = self.cell_starts[cells]
-        ends = self.cell_starts[cells + 1]
-        ranges: list[tuple[int, int, bool]] = []
+        """Refinement over the sort dimension (§3.2.2): two binary searches
+        of the stored key serve every visited cell, since cell ``k``'s rows
+        with sort-key rank in ``[r_lo, r_hi)`` are those with key in
+        ``[k·U + r_lo, k·U + r_hi)``.
+
+        Returns the nonempty ``[start, end)`` ranges and their exactness:
+        refinement makes the sort dim exact, so a range is exact when its
+        cell is interior in every grid dim. Unrefined contiguous cells of
+        equal exactness merge into one range.
+        """
+        keys = self.sort_keys
+        lo, hi = 0, keys.size
         if sort_filtered:
-            a, b = q.ranges[L.sort_dim]
-            has_a, has_b = bool(np.isfinite(a)), bool(np.isfinite(b))
-            sort_col = self.store.cols[L.sort_dim]
-            search = np.searchsorted
-            for s, e, inner in zip(starts.tolist(), ends.tolist(), interior_ok.tolist()):
-                if e <= s:
-                    continue
-                seg = sort_col[s:e]
-                i1 = s + search(seg, a, "left") if has_a else s
-                i2 = s + search(seg, b, "right") if has_b else e
-                if i2 > i1:
-                    # refinement makes the sort dim exact; grid dims must be
-                    # interior for the whole range to be exact
-                    ranges.append((i1, i2, inner))
-        else:
-            # No refinement: merge runs of physically contiguous cells.
-            order = np.argsort(starts, kind="stable")
-            s_l, e_l, i_l = starts.tolist(), ends.tolist(), interior_ok.tolist()
-            cur_s = cur_e = None
-            cur_exact = True
-            for k in order.tolist():
-                s, e, inner = s_l[k], e_l[k], i_l[k]
-                if e <= s:
-                    continue
-                if cur_s is None:
-                    cur_s, cur_e, cur_exact = s, e, inner
-                elif s == cur_e and inner == cur_exact:
-                    cur_e = e
-                else:
-                    ranges.append((cur_s, cur_e, cur_exact))
-                    cur_s, cur_e, cur_exact = s, e, inner
-            if cur_s is not None:
-                ranges.append((cur_s, cur_e, cur_exact))
-        return ranges
+            a, b = q.ranges[self.layout.sort_dim]
+            # NaN is the last key: +inf cuts before it, and a NaN bound
+            # (which matches no row) leaves an empty or inverted cut
+            lo = keys.searchsorted(a, "left")
+            hi = 0 if math.isnan(b) else keys.searchsorted(b, "right")
+        base = cells * keys.size
+        starts = self.key.searchsorted(base + lo)
+        ends = self.key.searchsorted(base + hi)
+        keep = ends > starts
+        starts, ends, exact = starts[keep], ends[keep], interior_ok[keep]
+        if not sort_filtered and starts.size > 1:
+            # cells ascend, so a range continues the previous one when it
+            # starts where that one ends and has the same exactness
+            cut = (starts[1:] != ends[:-1]) | (exact[1:] != exact[:-1])
+            head = np.concatenate(([True], cut))
+            tail = np.concatenate((cut, [True]))
+            starts, ends, exact = starts[head], ends[tail], exact[head]
+        return starts, ends, exact
 
     # -- introspection -------------------------------------------------------
     def index_size_bytes(self) -> int:
-        """Exact metadata size: the cell table plus the column edges."""
-        total = self.cell_starts.nbytes if self.cell_starts is not None else 0
-        return int(total + sum(e.nbytes for e in self.edges))
+        """Exact metadata size: the cell table, the column edges, the row
+        keys and the distinct sort keys."""
+        if self.key is None:
+            return 0
+        return int(self.cell_starts.nbytes + self.key.nbytes + self.sort_keys.nbytes
+                   + sum(e.nbytes for e in self.edges))

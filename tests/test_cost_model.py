@@ -103,6 +103,16 @@ def test_random_layout_valid(d):
         assert lay.n_cells <= 100_000 * 4  # never an absurd cell count
 
 
+def test_random_layouts_span_one_cell_to_n_over_8():
+    """Calibration covers the optimizer's whole search range, down to a
+    single cell: the forests cannot predict grids coarser than any they
+    were fitted on."""
+    rng = np.random.default_rng(0)
+    cells = [random_layout(4, 5000, rng).n_cells for _ in range(200)]
+    assert min(cells) == 1
+    assert max(cells) > 5000 / 32
+
+
 def test_model_predicts_measured_times_reasonably(calibrated):
     """In-sample check: Eq.1 with predicted weights should track measured
     total times to well within an order of magnitude on average."""

@@ -147,6 +147,36 @@ def test_nan_grid_values_never_counted_as_matches(flatten):
         assert idx.query(q).value == q.mask(data).sum()
 
 
+@pytest.mark.parametrize("flatten", [True, False])
+def test_nan_query_bound_on_grid_dim_matches_nothing(flatten):
+    """Only ±inf bounds are open: a NaN bound compares false with every
+    value, so its filter matches no row."""
+    data = make_data("uniform", n=2000)
+    idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[4, 3, 2],
+                                   flatten=flatten)).build(data)
+    for bounds in ({0: (np.nan, 50.0)}, {0: (50.0, np.nan)},
+                   {1: (np.nan, 30.0), 3: (10.0, 90.0)}):
+        q = query_from_dict(4, bounds)
+        r = idx.query(q)
+        assert r.value == r.n_matched == q.mask(data).sum() == 0
+
+
+def test_nan_in_sort_dim_never_matches_a_filter():
+    """NaN is the last sort key: an open upper bound stops before it, and
+    a NaN bound on the sort dim matches no row."""
+    data = np.random.default_rng(0).random((2000, 3)) * 100
+    data[::5, 2] = np.nan
+    idx = FloodIndex(layout=Layout(order=[0, 1, 2], cols=[4, 3])).build(data)
+    for bounds in ({2: (40.0, np.inf)}, {2: (np.nan, 40.0)}, {2: (40.0, np.nan)},
+                   {0: (10.0, 60.0), 2: (-np.inf, 70.0)}):
+        q = query_from_dict(3, bounds)
+        r = idx.query(q)
+        assert r.value == r.n_matched == q.mask(data).sum()
+    # unfiltered, the sort dim's NaN rows count like any other row
+    assert idx.query(query_from_dict(3, {0: (10.0, 60.0)})).value == \
+        query_from_dict(3, {0: (10.0, 60.0)}).mask(data).sum()
+
+
 def test_default_layout_valid_and_correct():
     data = make_data("uniform")
     rng = np.random.default_rng(13)

@@ -2,6 +2,8 @@
 arbitrary data shapes and query boxes; PLM/RMI invariants hold for
 arbitrary sorted inputs; Flood's column edges reproduce the rank and
 min-max column formulas bit for bit."""
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +46,73 @@ def test_flood_equals_brute_force(dq):
     cols = [2] * (d - 1)
     idx = FloodIndex(layout=Layout(order=list(range(d)), cols=cols)).build(data)
     assert idx.query(q).value == q.mask(data).sum()
+
+
+_BOUND_SPECIAL = [np.nan, np.inf, -np.inf, 1e300, -1e300]
+
+
+@st.composite
+def adversarial_flood_case(draw):
+    """Data with NaN in any column (the sort dim too); bounds from data
+    values, NaN, ±inf and out-of-domain values, often inverted."""
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["uniform", "lognormal", "ints"]))
+    if kind == "uniform":
+        data = rng.random((n, d)) * 100
+    elif kind == "lognormal":
+        data = rng.lognormal(0, 2, (n, d))
+    else:
+        data = rng.integers(0, 6, (n, d)).astype(float)
+    data[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.05, 0.3]))] = np.nan
+    layout = Layout(order=[int(x) for x in rng.permutation(d)],
+                    cols=draw(st.lists(st.integers(1, 40), min_size=d - 1, max_size=d - 1)),
+                    flatten=draw(st.booleans()))
+    bound = st.one_of(st.integers(0, n - 1), st.sampled_from(_BOUND_SPECIAL),
+                      st.floats(-1e6, 1e6))
+    bounds = {}
+    for dim in draw(st.sets(st.integers(0, d - 1), min_size=1)):
+        lo, hi = (float(data[b, dim]) if isinstance(b, int) else b
+                  for b in (draw(bound), draw(bound)))
+        bounds[dim] = (lo, hi)
+    agg = draw(st.sampled_from(["count", "sum"]))
+    return data, layout, query_from_dict(d, bounds, agg=agg, agg_dim=draw(st.integers(0, d - 1)))
+
+
+@given(adversarial_flood_case())
+@settings(max_examples=300, deadline=None)
+def test_flood_equals_brute_force_on_adversarial_inputs(case):
+    data, layout, q = case
+    r = FloodIndex(layout=layout).build(data).query(q)
+    m = q.mask(data)
+    assert r.n_matched == m.sum()
+    assert r.n_matched <= r.n_scanned <= data.shape[0]
+    if q.agg == "count":
+        assert r.value == m.sum()
+    else:
+        x = data[m, q.agg_dim]
+        want = math.fsum(x)
+        if np.isnan(want):
+            assert np.isnan(r.value)
+        else:
+            assert abs(r.value - want) <= 1e-9 * math.fsum(np.abs(x))
+
+
+def test_flood_sort_only_filters_exact_on_ten_thousand_cells():
+    """A 100×100 grid over 30k rows: a filter on the sort dim alone visits
+    every cell, and refinement leaves exactly the matching rows, all exact."""
+    rng = np.random.default_rng(8)
+    data = np.column_stack([rng.random(30_000), rng.lognormal(0, 1, 30_000),
+                            rng.integers(0, 500, 30_000).astype(float)])
+    idx = FloodIndex(layout=Layout(order=[0, 1, 2], cols=[100, 100])).build(data)
+    for lo, hi in ((10.0, 40.0), (250.0, 250.0), (-np.inf, 3.0), (499.0, np.inf), (60.0, 20.0)):
+        q = query_from_dict(3, {2: (lo, hi)}, agg="sum", agg_dim=1)
+        r = idx.query(q)
+        m = q.mask(data)
+        assert r.n_cells == 10_000
+        assert r.n_scanned == r.n_matched == r.n_exact == m.sum()
+        assert abs(r.value - math.fsum(data[m, 1])) <= 1e-9 * math.fsum(data[m, 1])
 
 
 @given(dataset_and_query())
@@ -168,7 +237,8 @@ def test_flood_cells_on_sampled_path_match_rank_columns():
     s1 = samp.choice(data[:, 1], EDGE_SAMPLE, replace=False)
     want = _rank_columns(s0, data[:, 0], 13) * 6 + _rank_columns(s1, data[:, 1], 6)
     np.testing.assert_array_equal(idx._cell_ids(data), want)
-    assert idx.index_size_bytes() == idx.cell_starts.nbytes + 8 * sum(c - 1 for c in cols)
+    assert idx.index_size_bytes() == (idx.cell_starts.nbytes + 8 * sum(c - 1 for c in cols)
+                                      + idx.key.nbytes + idx.sort_keys.nbytes)
 
 
 @given(dataset_and_query(), st.booleans())
@@ -178,4 +248,5 @@ def test_flood_index_size_is_cell_table_plus_edges(dq, flatten):
     d = data.shape[1]
     cols = [3] * (d - 1)
     idx = FloodIndex(layout=Layout(order=list(range(d)), cols=cols, flatten=flatten)).build(data)
-    assert idx.index_size_bytes() == idx.cell_starts.nbytes + 8 * sum(c - 1 for c in cols)
+    assert idx.index_size_bytes() == (idx.cell_starts.nbytes + 8 * sum(c - 1 for c in cols)
+                                      + idx.key.nbytes + idx.sort_keys.nbytes)
