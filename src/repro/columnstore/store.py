@@ -74,13 +74,14 @@ class ScanStats:
     n_scanned: int
     n_matched: int
     n_exact: int
+    n_ranges: int  # nonempty ranges scanned
     scan_time: float
 
 
 class ColumnStore:
     """Columnar storage of an (n, d) matrix in a fixed physical order."""
 
-    def __init__(self, data: np.ndarray, with_cumsum: bool = True):
+    def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2:
             raise ValueError("data must be (n, d)")
@@ -88,11 +89,7 @@ class ColumnStore:
         # column-major storage: one contiguous array per attribute
         self.cols = [np.ascontiguousarray(data[:, j]) for j in range(self.d)]
         # prefix sums for O(1) SUM over exact ranges; cumcount is implicit
-        self._cums = (
-            [prefix_sums(c) for c in self.cols]
-            if with_cumsum
-            else None
-        )
+        self._cums = [prefix_sums(c) for c in self.cols]
 
     def matrix(self) -> np.ndarray:
         """Dense (n, d) view of the stored order (tests / rebuilds)."""
@@ -127,8 +124,6 @@ class ColumnStore:
             n_exact = n_scanned = n_matched = int((ex_e - ex_s).sum())
             if not want_sum:
                 total += n_exact
-            elif self._cums is None:
-                total += float(agg_col[_positions(ex_s, ex_e)].sum())
             else:
                 cs = self._cums[q.agg_dim]
                 ps, pe = cs[ex_s], cs[ex_e]
@@ -167,6 +162,7 @@ class ColumnStore:
             n_scanned=n_scanned,
             n_matched=n_matched,
             n_exact=n_exact,
+            n_ranges=int(np.count_nonzero(keep)),
             scan_time=time.perf_counter() - t0,
         )
 
@@ -214,5 +210,7 @@ class ColumnStore:
             n_scanned=n_scanned,
             n_matched=n_matched,
             n_exact=n_exact,
+            # the runs of consecutive positions
+            n_ranges=int(np.count_nonzero(np.diff(idx) != 1)) + 1 if idx.size else 0,
             scan_time=time.perf_counter() - t0,
         )

@@ -14,11 +14,11 @@ in a narrow range (§4.1.1's argument for factoring the model).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.query import Query
+from repro.core.query import Query, QueryResult
 from repro.indexes.flood import FloodIndex, Layout
 from repro.ml.random_forest import RandomForestRegressor
 
@@ -26,19 +26,55 @@ FEATURES = (
     "n_cells",          # N_c: cells in the query rectangle
     "n_scanned",        # N_s: points scanned
     "total_cells",      # cells in the whole layout
+    # cell sizes over the whole layout; the optimizer estimates all three
+    # as n / total_cells
     "cell_size_mean",
     "cell_size_median",
     "cell_size_p99",
     "n_filtered_dims",
     "pts_per_cell",     # N_s / N_c — avg visited points per visited cell
-    "avg_run_len",      # scan locality
+    "avg_run_len",      # scan locality: scanned points per nonempty range
+                        # (the optimizer estimates it as pts_per_cell)
     "exact_frac",       # fraction of scanned points inside exact sub-ranges
     "refined",          # 1 if the query filtered the sort dim
 )
 
 
-def feature_vector(stats: dict) -> np.ndarray:
-    return np.array([float(stats[k]) for k in FEATURES])
+def feature_matrix(**columns) -> np.ndarray:
+    """The cost model's feature matrix, filled by name, in FEATURES order.
+
+    Takes every name in :data:`FEATURES` and no other; each column is one
+    value per row, or a scalar that applies to every row.
+    """
+    if set(columns) != set(FEATURES):
+        raise ValueError(f"need exactly the features {FEATURES}; missing "
+                         f"{sorted(set(FEATURES) - set(columns))}, unknown "
+                         f"{sorted(set(columns) - set(FEATURES))}")
+    cols = [np.asarray(columns[k], dtype=np.float64) for k in FEATURES]
+    return np.column_stack(np.broadcast_arrays(*cols))
+
+
+def measured_features(idx: FloodIndex, queries: list[Query],
+                      results: list[QueryResult]) -> np.ndarray:
+    """Features of ``queries`` as run on ``idx``, one row per query: the
+    result's counts, the query's filters and the layout's cell sizes."""
+    sizes = np.diff(idx.cell_starts)
+    n_cells, n_scanned, n_exact, n_ranges = (
+        np.array([getattr(r, k) for r in results], dtype=np.float64)
+        for k in ("n_cells", "n_scanned", "n_exact", "n_ranges"))
+    return feature_matrix(
+        n_cells=n_cells,
+        n_scanned=n_scanned,
+        total_cells=idx.layout.n_cells,
+        cell_size_mean=sizes.mean(),
+        cell_size_median=np.median(sizes),
+        cell_size_p99=np.quantile(sizes, 0.99),
+        n_filtered_dims=[q.filtered_dims.size for q in queries],
+        pts_per_cell=n_scanned / np.maximum(1, n_cells),
+        avg_run_len=n_scanned / np.maximum(1, n_ranges),
+        exact_frac=n_exact / np.maximum(1, n_scanned),
+        refined=[q.filters(idx.layout.sort_dim) for q in queries],
+    )
 
 
 @dataclass
@@ -50,8 +86,6 @@ class CostModel:
     ws_model: RandomForestRegressor | None = None
     calibration_time: float = 0.0
     n_examples: int = 0
-    # training matrices kept for tests/inspection
-    _X: np.ndarray | None = field(default=None, repr=False)
 
     def calibrate(self, data: np.ndarray, workload: list[Query],
                   n_layouts: int = 10, seed: int = 0,
@@ -64,6 +98,7 @@ class CostModel:
         for li in range(n_layouts):
             layout = random_layout(d, n, rng)
             idx = FloodIndex(layout=layout).build(data)
+            kept, results = [], []
             for q in workload:
                 # run twice, keep the faster run — single-shot wall-clock
                 # weights are jitter-bound and the forests amplify noise
@@ -73,46 +108,27 @@ class CostModel:
                     r = r2
                 if r.n_cells == 0 or r.n_scanned == 0:
                     continue
-                stats = {
-                    "n_cells": r.n_cells,
-                    "n_scanned": r.n_scanned,
-                    "total_cells": r.extra["total_cells"],
-                    "cell_size_mean": r.extra["cell_size_mean"],
-                    "cell_size_median": r.extra["cell_size_median"],
-                    "cell_size_p99": r.extra["cell_size_p99"],
-                    "n_filtered_dims": r.extra["n_filtered_dims"],
-                    "pts_per_cell": r.n_scanned / max(1, r.n_cells),
-                    "avg_run_len": r.extra["avg_run_len"],
-                    "exact_frac": r.n_exact / max(1, r.n_scanned),
-                    "refined": 1.0 if r.extra["refined"] else 0.0,
-                }
-                rows.append(feature_vector(stats))
+                kept.append(q)
+                results.append(r)
                 wps.append(r.extra["proj_time"] / r.n_cells)
                 wrs.append(r.extra["refine_time"] / r.n_cells)
                 wss.append(r.scan_time / r.n_scanned)
-        X = np.asarray(rows)
+            rows.append(measured_features(idx, kept, results))
+        X = np.concatenate(rows)
         kw = dict(n_estimators=20, max_depth=10, seed=1)
         kw.update(forest_kw or {})
         self.wp_model = RandomForestRegressor(**kw).fit(X, np.asarray(wps))
         self.wr_model = RandomForestRegressor(**kw).fit(X, np.asarray(wrs))
         self.ws_model = RandomForestRegressor(**kw).fit(X, np.asarray(wss))
         self.n_examples = X.shape[0]
-        self._X = X
         self.calibration_time = time.perf_counter() - t0
         return self
 
-    def predict_time(self, stats_rows) -> np.ndarray:
-        """Eq. 1 applied to predicted weights, one estimate per query.
-
-        Accepts either a list of stats dicts or a ready feature matrix in
-        FEATURES order (the optimizer's vectorized path).
-        """
+    def predict_time(self, X: np.ndarray) -> np.ndarray:
+        """Eq. 1 applied to predicted weights, one estimate per row of the
+        feature matrix ``X`` (see :func:`feature_matrix`)."""
         if self.wp_model is None:
             raise RuntimeError("predict_time() before calibrate()")
-        if isinstance(stats_rows, np.ndarray):
-            X = stats_rows
-        else:
-            X = np.asarray([feature_vector(s) for s in stats_rows])
         nc = X[:, FEATURES.index("n_cells")]
         ns = X[:, FEATURES.index("n_scanned")]
         refined = X[:, FEATURES.index("refined")]

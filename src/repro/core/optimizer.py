@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cost_model import CostModel
+from repro.core.cost_model import CostModel, feature_matrix
 from repro.core.query import Query
 from repro.indexes.base import selectivity_order
 from repro.indexes.flood import Layout
@@ -40,20 +40,16 @@ def _flat_bounds(data_sample: np.ndarray, workload: list[Query]) -> np.ndarray:
 
     This is the "flatten the data sample and workload sample using RMIs
     trained on each dimension" step; the empirical CDF of the sample *is*
-    the flattened coordinate.
+    the flattened coordinate. An open (non-finite) bound flattens to 0 or 1.
     """
     n, d = data_sample.shape
-    out = np.empty((len(workload), d, 2))
+    bounds = np.array([q.ranges for q in workload], dtype=np.float64).reshape(-1, d, 2)
+    out = np.empty(bounds.shape)
     for dim in range(d):
         col = np.sort(data_sample[:, dim])
-        for qi, q in enumerate(workload):
-            lo, hi = q.ranges[dim]
-            out[qi, dim, 0] = (
-                np.searchsorted(col, lo, side="left") / n if np.isfinite(lo) else 0.0
-            )
-            out[qi, dim, 1] = (
-                np.searchsorted(col, hi, side="right") / n if np.isfinite(hi) else 1.0
-            )
+        lo, hi = bounds[:, dim, 0], bounds[:, dim, 1]
+        out[:, dim, 0] = np.where(np.isfinite(lo), col.searchsorted(lo, "left") / n, 0.0)
+        out[:, dim, 1] = np.where(np.isfinite(hi), col.searchsorted(hi, "right") / n, 1.0)
     return out
 
 
@@ -62,11 +58,8 @@ def _estimate_stats(n: int, flat: np.ndarray, filtered: np.ndarray,
     """Closed-form per-query statistics for a candidate layout.
 
     Fully vectorized over queries (this runs thousands of times inside
-    the descent search); returns a feature matrix in
-    :data:`repro.core.cost_model.FEATURES` order.
+    the descent search); returns the cost model's feature matrix.
     """
-    from repro.core.cost_model import FEATURES
-
     grid_dims, sort_dim = order[:-1], order[-1]
     total_cells = int(np.prod(cols, dtype=np.int64)) if cols else 1
     cell_sz = n / total_cells
@@ -91,19 +84,19 @@ def _estimate_stats(n: int, flat: np.ndarray, filtered: np.ndarray,
     )
     n_scanned = np.maximum(1.0, n * scan_frac * sort_frac)
     pts_per_cell = n_scanned / np.maximum(1, n_cells)
-    X = np.empty((nq, len(FEATURES)))
-    X[:, 0] = n_cells
-    X[:, 1] = n_scanned
-    X[:, 2] = total_cells
-    X[:, 3] = cell_sz
-    X[:, 4] = cell_sz
-    X[:, 5] = cell_sz
-    X[:, 6] = filtered.sum(axis=1)
-    X[:, 7] = pts_per_cell
-    X[:, 8] = pts_per_cell
-    X[:, 9] = exact_frac
-    X[:, 10] = refined
-    return X
+    return feature_matrix(
+        n_cells=n_cells,
+        n_scanned=n_scanned,
+        total_cells=total_cells,
+        cell_size_mean=cell_sz,
+        cell_size_median=cell_sz,
+        cell_size_p99=cell_sz,
+        n_filtered_dims=filtered.sum(axis=1),
+        pts_per_cell=pts_per_cell,
+        avg_run_len=pts_per_cell,
+        exact_frac=exact_frac,
+        refined=refined,
+    )
 
 
 def optimize_layout(data: np.ndarray, workload: list[Query], cost_model: CostModel,

@@ -85,6 +85,7 @@ class QueryResult:
     scan_time: float
     n_cells: int = 0
     n_exact: int = 0  # points scanned inside exact sub-ranges (§7.1)
+    n_ranges: int = 0  # nonempty physical ranges scanned
     extra: dict = field(default_factory=dict)
 
     @property

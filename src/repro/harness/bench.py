@@ -125,8 +125,6 @@ def build_flood(data: np.ndarray, train: list[Query], cost_model: CostModel,
     t0 = time.perf_counter()
     idx = FloodIndex(layout=res.layout).build(data, train)
     load_time = time.perf_counter() - t0
-    idx.learn_time = res.learn_time
-    idx.opt_result = res
     return idx, res.learn_time, load_time
 
 

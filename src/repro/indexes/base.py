@@ -51,11 +51,15 @@ class BaseIndex:
         raise NotImplementedError
 
     # -- query ---------------------------------------------------------------
-    def query(self, q: Query) -> QueryResult:
+    def _check(self, q: Query) -> None:
+        """Reject a query before build() or with the wrong dimension count."""
         if self.store is None:
             raise RuntimeError("query() before build()")
         if q.d != self.d:
             raise ValueError(f"query dims {q.d} != index dims {self.d}")
+
+    def query(self, q: Query) -> QueryResult:
+        self._check(q)
         t0 = time.perf_counter()
         ranges, n_cells = self._ranges(q)
         r = np.array(ranges, dtype=np.int64).reshape(-1, 3)
@@ -69,6 +73,7 @@ class BaseIndex:
             scan_time=stats.scan_time,
             n_cells=n_cells,
             n_exact=stats.n_exact,
+            n_ranges=stats.n_ranges,
         )
 
     def _ranges(self, q: Query) -> tuple[list[tuple[int, int, bool]], int]:

@@ -18,9 +18,10 @@ and the range ends, find every range at once;
 *scan* executes on the column store, with ranges proven exact skipping
 per-point checks (§7.1).
 
-Phase timings and per-query statistics are exposed in
-``QueryResult.extra`` — they are the features/targets of the cost model
-(§4.1.1).
+Projection and refinement times are exposed in ``QueryResult.extra``
+(``proj_time``, ``refine_time``): they are the cost model's w_p and w_r
+targets (§4.1.1). Its features come from the typed counts of
+``QueryResult`` and the layout (``repro.core.cost_model.measured_features``).
 """
 from __future__ import annotations
 
@@ -169,12 +170,6 @@ class FloodIndex(BaseIndex):
         self.cell_starts = self.key.searchsorted(
             np.arange(L.n_cells + 1, dtype=np.int64) * width
         )
-        sizes = np.diff(self.cell_starts)
-        self._size_stats = (
-            float(sizes.mean()),
-            float(np.median(sizes)),
-            float(np.quantile(sizes, 0.99)),
-        )
 
     def _cell_ids(self, data: np.ndarray) -> np.ndarray:
         L = self.layout
@@ -191,42 +186,27 @@ class FloodIndex(BaseIndex):
     def query(self, q: Query) -> QueryResult:
         """Overrides BaseIndex.query to time projection/refinement separately
         (the cost model's w_p / w_r targets, §4.1.1)."""
-        if self.store is None:
-            raise RuntimeError("query() before build()")
-        L = self.layout
+        self._check(q)
         t0 = time.perf_counter()
         cells, col_ranges, interior_ok = self._project(q)
         t_proj = time.perf_counter() - t0
 
-        sort_filtered = q.filters(L.sort_dim)
+        sort_filtered = q.filters(self.layout.sort_dim)
         t0 = time.perf_counter()
         starts, ends, exact = self._refine(q, cells, interior_ok, sort_filtered)
         t_ref = time.perf_counter() - t0
 
         stats = self.store.scan(starts, ends, exact, q)
-        # every range is nonempty, so their mean length is scanned / ranges
-        avg_run = stats.n_scanned / starts.size if starts.size else 0.0
-        n_cells = int(cells.size)
-        mean_sz, med_sz, p99_sz = self._size_stats
         return QueryResult(
             value=stats.value,
             n_matched=stats.n_matched,
             n_scanned=stats.n_scanned,
             index_time=t_proj + t_ref,
             scan_time=stats.scan_time,
-            n_cells=n_cells,
+            n_cells=int(cells.size),
             n_exact=stats.n_exact,
-            extra={
-                "proj_time": t_proj,
-                "refine_time": t_ref,
-                "refined": sort_filtered,
-                "n_filtered_dims": int(q.filtered_dims.size),
-                "total_cells": int(L.n_cells),
-                "cell_size_mean": mean_sz,
-                "cell_size_median": med_sz,
-                "cell_size_p99": p99_sz,
-                "avg_run_len": avg_run,
-            },
+            n_ranges=stats.n_ranges,
+            extra={"proj_time": t_proj, "refine_time": t_ref},
         )
 
     def _project(self, q: Query):

@@ -100,7 +100,10 @@ def apply_flood_layout(df: DataFrame, sfl: SparkFloodLayout,
 def cell_runs_for_query(sfl: SparkFloodLayout,
                         bounds: dict[str, tuple[float, float]]) -> list[tuple[int, int]]:
     """Projection (§3.2.1) on the driver: contiguous [lo, hi] cell-id runs
-    intersecting the query rectangle. ``bounds`` maps column name -> range."""
+    intersecting the query rectangle. ``bounds`` maps column name -> range;
+    an empty (inverted or NaN) range matches no row, so it gives no runs."""
+    if any(not lo <= hi for lo, hi in bounds.values()):
+        return []
     layout, boundaries = sfl.layout, sfl.boundaries
     per_dim: list[np.ndarray] = []
     for dim, c in zip(layout.grid_dims, layout.cols):

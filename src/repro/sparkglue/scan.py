@@ -25,11 +25,12 @@ from repro.sparkglue.layout import CELL_COL, SparkFloodLayout, cell_runs_for_que
 
 
 def _runs_predicate(runs: list[tuple[int, int]]) -> Column:
+    """Rows whose cell lies in one of the runs; no runs keep no row."""
     pred = None
     for lo, hi in runs:
         c = F.col(CELL_COL).between(int(lo), int(hi))
         pred = c if pred is None else (pred | c)
-    return pred if pred is not None else F.lit(True)
+    return pred if pred is not None else F.lit(False)
 
 
 def _residual_predicate(bounds: dict[str, tuple[float, float]]) -> Column:

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.core.cost_model import FEATURES, CostModel, feature_vector, random_layout
+from repro.core.cost_model import (FEATURES, CostModel, feature_matrix,
+                                   measured_features, random_layout)
 from repro.core.query import query_from_dict
+from repro.indexes.flood import FloodIndex
 
 
 def _data(n=4000, d=4, seed=0):
@@ -41,15 +43,13 @@ def test_calibration_collects_examples(calibrated):
 
 def test_predicted_time_positive_and_finite(calibrated):
     data, wl, cm = calibrated
-    stats = [
-        {
-            "n_cells": 10, "n_scanned": 1000, "total_cells": 256,
-            "cell_size_mean": 15.6, "cell_size_median": 15.6, "cell_size_p99": 15.6,
-            "n_filtered_dims": 2, "pts_per_cell": 100, "avg_run_len": 100,
-            "exact_frac": 0.5, "refined": 1.0,
-        }
-    ]
-    t = cm.predict_time(stats)
+    X = feature_matrix(
+        n_cells=10, n_scanned=1000, total_cells=256,
+        cell_size_mean=15.6, cell_size_median=15.6, cell_size_p99=15.6,
+        n_filtered_dims=2, pts_per_cell=100, avg_run_len=100,
+        exact_frac=0.5, refined=1.0,
+    )
+    t = cm.predict_time(X)
     assert t.shape == (1,) and np.isfinite(t[0]) and t[0] > 0
 
 
@@ -62,7 +62,7 @@ def test_more_scanned_points_cost_more(calibrated):
         "exact_frac": 0.0, "refined": 0.0,
     }
     big = dict(base, n_scanned=200_000, pts_per_cell=4000, avg_run_len=4000)
-    assert cm.predict_time([big])[0] > cm.predict_time([base])[0]
+    assert cm.predict_time(feature_matrix(**big))[0] > cm.predict_time(feature_matrix(**base))[0]
 
 
 def test_unrefined_query_has_zero_wr(calibrated):
@@ -75,21 +75,31 @@ def test_unrefined_query_has_zero_wr(calibrated):
         "n_filtered_dims": 1, "pts_per_cell": 10, "avg_run_len": 10,
         "exact_frac": 0.0, "refined": 0.0,
     }
-    X = feature_vector(s).reshape(1, -1)
+    X = feature_matrix(**s)
     wp = max(cm.wp_model.predict(X)[0], 0)
     ws = max(cm.ws_model.predict(X)[0], 0)
     expect_no_wr = wp * s["n_cells"] + ws * s["n_scanned"]
-    assert np.isclose(cm.predict_time([s])[0], expect_no_wr)
+    assert np.isclose(cm.predict_time(X)[0], expect_no_wr)
 
 
 def test_predict_before_calibrate_raises():
     with pytest.raises(RuntimeError):
-        CostModel().predict_time([])
+        CostModel().predict_time(np.empty((0, len(FEATURES))))
 
 
-def test_feature_vector_order():
-    s = {k: float(i) for i, k in enumerate(FEATURES)}
-    assert np.array_equal(feature_vector(s), np.arange(len(FEATURES), dtype=float))
+def test_feature_matrix_order_and_names():
+    """Columns come out in FEATURES order whatever order the names are
+    given in; scalars fill every row; a missing or unknown name raises."""
+    cols = {k: [float(i), 10.0 + i] for i, k in enumerate(FEATURES)}
+    X = feature_matrix(**dict(reversed(cols.items())))
+    assert np.array_equal(X, np.array(list(cols.values())).T)
+    one = feature_matrix(**dict(cols, total_cells=7))
+    assert one.shape == (2, len(FEATURES))
+    assert np.array_equal(one[:, FEATURES.index("total_cells")], [7.0, 7.0])
+    with pytest.raises(ValueError, match="missing.*refined"):
+        feature_matrix(**{k: v for k, v in cols.items() if k != "refined"})
+    with pytest.raises(ValueError, match="unknown.*n_points"):
+        feature_matrix(**cols, n_points=1.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 7])
@@ -117,28 +127,40 @@ def test_model_predicts_measured_times_reasonably(calibrated):
     """In-sample check: Eq.1 with predicted weights should track measured
     total times to well within an order of magnitude on average."""
     data, wl, cm = calibrated
-    from repro.indexes.flood import FloodIndex
-
     lay = random_layout(data.shape[1], data.shape[0], np.random.default_rng(9))
     idx = FloodIndex(layout=lay).build(data)
-    ratios = []
+    kept, results = [], []
     for q in wl[:15]:
         r = idx.query(q)
         if r.n_cells == 0 or r.n_scanned == 0:
             continue
-        stats = {
-            "n_cells": r.n_cells, "n_scanned": r.n_scanned,
-            "total_cells": r.extra["total_cells"],
-            "cell_size_mean": r.extra["cell_size_mean"],
-            "cell_size_median": r.extra["cell_size_median"],
-            "cell_size_p99": r.extra["cell_size_p99"],
-            "n_filtered_dims": r.extra["n_filtered_dims"],
-            "pts_per_cell": r.n_scanned / max(1, r.n_cells),
-            "avg_run_len": r.extra["avg_run_len"],
-            "exact_frac": r.n_exact / max(1, r.n_scanned),
-            "refined": 1.0 if r.extra["refined"] else 0.0,
-        }
-        pred = cm.predict_time([stats])[0]
-        ratios.append(pred / max(r.total_time, 1e-9))
+        kept.append(q)
+        results.append(r)
+    pred = cm.predict_time(measured_features(idx, kept, results))
+    ratios = pred / np.maximum([r.total_time for r in results], 1e-9)
     gm = np.exp(np.abs(np.log(ratios)).mean())
     assert gm < 10, f"geometric-mean misprediction {gm:.1f}x"
+
+
+def test_measured_features_name_each_statistic():
+    """The calibration features of a query: its counts, its filters and the
+    layout's cell sizes, with scan run length over nonempty ranges."""
+    data = _data()
+    lay = random_layout(4, data.shape[0], np.random.default_rng(2))
+    idx = FloodIndex(layout=lay).build(data)
+    qs = _workload(data, 10, seed=5)
+    results = [idx.query(q) for q in qs]
+    X = measured_features(idx, qs, results)
+    col = {k: X[:, i] for i, k in enumerate(FEATURES)}
+    sizes = np.diff(idx.cell_starts)
+    assert X.shape == (len(qs), len(FEATURES))
+    assert lay.n_cells == sizes.size
+    assert np.all(col["total_cells"] == lay.n_cells)
+    assert np.all(col["cell_size_mean"] == data.shape[0] / lay.n_cells)
+    assert np.all(col["cell_size_p99"] >= col["cell_size_median"])
+    assert np.array_equal(col["n_filtered_dims"], [q.filtered_dims.size for q in qs])
+    assert np.array_equal(col["refined"], [q.filters(lay.sort_dim) for q in qs])
+    for i, r in enumerate(results):
+        assert (col["n_cells"][i], col["n_scanned"][i]) == (r.n_cells, r.n_scanned)
+        assert col["avg_run_len"][i] == (r.n_scanned / r.n_ranges if r.n_ranges else 0)
+        assert col["exact_frac"][i] == r.n_exact / max(1, r.n_scanned)

@@ -189,13 +189,26 @@ def test_default_layout_valid_and_correct():
 
 
 def test_extra_stats_present():
+    """``extra`` holds only the phase times; the counts are typed fields."""
     data = make_data("uniform")
     idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[4, 4, 4])).build(data)
-    r = idx.query(query_from_dict(4, {0: (10, 60), 3: (5, 50)}))
-    for key in ("proj_time", "refine_time", "total_cells", "cell_size_mean", "avg_run_len"):
-        assert key in r.extra
-    assert r.extra["refined"] is True
-    assert r.n_cells > 0
+    for bounds in ({0: (10, 60), 3: (5, 50)}, {1: (20, 30)}, {0: (60, 10)}):
+        r = idx.query(query_from_dict(4, bounds))
+        assert set(r.extra) == {"proj_time", "refine_time"}
+        assert (r.n_ranges >= 1) == (r.n_scanned > 0)
+    assert r.n_cells == 0 and r.n_scanned == 0
+
+
+def test_query_dimension_count_checked():
+    """A query with more or fewer dims than the index is rejected, as by
+    every other index: an unknown filter must not be silently dropped."""
+    data = make_data("uniform", n=2000)
+    idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[4, 4, 4])).build(data)
+    for q in (query_from_dict(5, {4: (0.0, 1.0)}), query_from_dict(3, {0: (10, 60)})):
+        with pytest.raises(ValueError, match="query dims"):
+            idx.query(q)
+    with pytest.raises(RuntimeError):
+        FloodIndex(layout=Layout(order=[0, 1], cols=[2])).query(query_from_dict(2, {}))
 
 
 def test_layout_validation():

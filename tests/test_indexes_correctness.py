@@ -90,6 +90,7 @@ def test_index_matches_brute_force(built, kind, name, qi):
         assert r.value == m.sum(), name
     assert r.n_matched == m.sum()
     assert r.n_matched <= r.n_scanned <= N
+    assert (r.n_ranges >= 1) == (r.n_scanned > 0) and r.n_ranges <= r.n_scanned
 
 
 @pytest.mark.parametrize("name", list(_factories()))

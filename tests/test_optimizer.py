@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.core.cost_model import CostModel
+from repro.core.cost_model import FEATURES, CostModel
 from repro.core.optimizer import _estimate_stats, _flat_bounds, optimize_layout
-from repro.core.query import query_from_dict
-from repro.indexes.flood import FloodIndex
+from repro.core.query import Query, query_from_dict
+from repro.indexes.flood import FloodIndex, Layout
 
 
 def _data(n=5000, d=4, seed=0):
@@ -50,8 +50,6 @@ def test_optimized_beats_bad_layout(cm):
     wl = _range_wl(data, {0: 0.02, 1: 0.05}, n_q=30)
     res = optimize_layout(data, wl, cm, seed=2)
     good = FloodIndex(layout=res.layout).build(data)
-    from repro.indexes.flood import Layout
-
     bad = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[1, 1, 1])).build(data)
     g = np.mean([good.query(q).n_scanned for q in wl])
     b = np.mean([bad.query(q).n_scanned for q in wl])
@@ -91,18 +89,61 @@ def test_estimate_stats_consistency():
     filtered = np.zeros((len(wl), 4), dtype=bool)
     for qi, q in enumerate(wl):
         filtered[qi, q.filtered_dims] = True
-    from repro.indexes.flood import Layout
-
     lay = Layout(order=[0, 1, 2, 3], cols=[8, 8, 2])
     X = _estimate_stats(8000, flat, filtered, lay.order, lay.cols)
-    from repro.core.cost_model import FEATURES
-
     nc_col, ns_col = FEATURES.index("n_cells"), FEATURES.index("n_scanned")
     idx = FloodIndex(layout=lay).build(data)
     for qi, q in enumerate(wl):
         r = idx.query(q)
         assert X[qi, nc_col] == r.n_cells
         assert 0.3 < X[qi, ns_col] / max(1, r.n_scanned) < 3.0
+
+
+def test_estimate_stats_named_columns():
+    """Each estimate lands in its own FEATURES column: the layout's cell
+    count, one cell size n / total_cells for mean, median and p99, and a
+    scan run length equal to points per visited cell."""
+    data = _data(n=6000, seed=4)
+    wl = _range_wl(data, {0: 0.1, 3: 0.3}, n_q=12, seed=6)
+    filtered = np.zeros((len(wl), 4), dtype=bool)
+    for qi, q in enumerate(wl):
+        filtered[qi, q.filtered_dims] = True
+    cols = [5, 3, 4]
+    X = _estimate_stats(6000, _flat_bounds(data, wl), filtered, [0, 1, 2, 3], cols)
+    col = {k: X[:, i] for i, k in enumerate(FEATURES)}
+    assert X.shape == (len(wl), len(FEATURES))
+    assert np.all(col["total_cells"] == np.prod(cols))
+    for k in ("cell_size_mean", "cell_size_median", "cell_size_p99"):
+        assert np.all(col[k] == 6000 / np.prod(cols))
+    assert np.all(col["n_filtered_dims"] == 2)
+    assert np.all(col["refined"] == 1.0)
+    assert np.array_equal(col["pts_per_cell"], col["n_scanned"] / col["n_cells"])
+    assert np.array_equal(col["avg_run_len"], col["pts_per_cell"])
+    assert np.all((col["exact_frac"] >= 0) & (col["exact_frac"] <= 1))
+    assert np.all(col["n_cells"] == col["n_cells"].astype(int))
+    assert np.all((col["n_cells"] >= 4 * 3) & (col["n_cells"] <= np.prod(cols)))
+
+
+def test_flat_bounds_match_per_query_formula():
+    """The vectorized flattening equals the per-query formula bit for bit,
+    on open (±inf), NaN, inverted and out-of-domain bounds too."""
+    rng = np.random.default_rng(8)
+    sample = np.column_stack([rng.random(500) * 100, rng.lognormal(0, 2, 500),
+                              rng.integers(0, 5, 500).astype(float)])
+    sample[::50, 1] = np.nan
+    pool = np.concatenate([sample[:40].ravel(), [np.inf, -np.inf, np.nan, -1e300,
+                                                  1e300, -5.0, 250.0, 0.0, 4.0]])
+    wl = [Query(rng.choice(pool, (3, 2))) for _ in range(300)]
+    got = _flat_bounds(sample, wl)
+    n = sample.shape[0]
+    for qi, q in enumerate(wl):
+        for dim in range(3):
+            col = np.sort(sample[:, dim])
+            lo, hi = q.ranges[dim]
+            want_lo = np.searchsorted(col, lo, side="left") / n if np.isfinite(lo) else 0.0
+            want_hi = np.searchsorted(col, hi, side="right") / n if np.isfinite(hi) else 1.0
+            assert got[qi, dim, 0].tobytes() == np.float64(want_lo).tobytes()
+            assert got[qi, dim, 1].tobytes() == np.float64(want_hi).tobytes()
 
 
 def test_sampling_caps_respected(cm):

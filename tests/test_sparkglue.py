@@ -45,6 +45,7 @@ QUERIES = [
     {"l_discount": (0.05, 0.05)},  # equality
     {"l_orderkey": (100.0, 200.0), "l_quantity": (5.0, 25.0),
      "l_extendedprice": (900.0, 50000.0)},
+    {"l_orderkey": (900.0, 100.0)},  # inverted: no row matches
 ]
 
 
@@ -132,6 +133,11 @@ def test_selective_query_skips_most_rows(laid):
     assert frac > 0.5  # 8 columns on orderkey → ≥ 7/8 of cells skippable
 
 
+def test_inverted_range_skips_every_row(laid):
+    df, sfl = laid
+    assert skipped_fraction(df, sfl, {"l_orderkey": (900.0, 100.0)}) == 1.0
+
+
 def test_unselective_query_skips_nothing(laid):
     df, sfl = laid
     assert skipped_fraction(df, sfl, {}) == 0.0
@@ -165,6 +171,10 @@ def test_cell_runs_merge_contiguous():
     # filter on the leading dim → one contiguous run
     runs = cell_runs_for_query(sfl, {"a": (0.0, 1.5)})
     assert runs == [(0, 7)]
+    # an empty range, on a grid or the sort dim, gives no runs
+    for bounds in ({"a": (0.9, 0.1)}, {"a": (2.5, 0.5)}, {"c": (5.0, 1.0)},
+                   {"b": (float("nan"), 1.0)}):
+        assert cell_runs_for_query(sfl, bounds) == []
 
 
 def test_flatten_false_uses_equal_width(spark, li_pdf):

@@ -69,10 +69,9 @@ def test_empty_and_inverted_ranges(data):
     assert s.n_scanned == 0 and s.value == 0
 
 
-@pytest.mark.parametrize("with_cumsum", [True, False])
-def test_many_random_ranges_match_brute_force(data, with_cumsum):
+def test_many_random_ranges_match_brute_force(data):
     """1000 ranges: exact and filtered, empty and inverted, COUNT and SUM."""
-    st = ColumnStore(data, with_cumsum=with_cumsum)
+    st = ColumnStore(data)
     rng = np.random.default_rng(21)
     starts = rng.integers(0, 1001, 1000)
     ends = np.where(rng.random(1000) < 0.2, starts - rng.integers(0, 3, 1000),
@@ -87,19 +86,13 @@ def test_many_random_ranges_match_brute_force(data, with_cumsum):
         s = st.scan(starts, ends, exact, q)
         assert s.n_scanned == len(rows)
         assert s.n_exact == sum(x for _, x in rows)
+        assert s.n_ranges == int((ends > starts).sum())
         assert s.n_matched == len(hit)
         if q.agg == AGG_SUM:
             x = data[hit, q.agg_dim]
             assert abs(s.value - math.fsum(x)) <= 1e-9 * math.fsum(np.abs(x))
         else:
             assert s.value == len(hit)
-
-
-def test_no_cumsum_fallback(data):
-    st = ColumnStore(data, with_cumsum=False)
-    q = query_from_dict(3, {}, agg=AGG_SUM, agg_dim=1)
-    s = st.scan([0], [500], [True], q)
-    assert np.isclose(s.value, data[:500, 1].sum())
 
 
 def test_prefix_sums_are_correctly_rounded():
