@@ -2,7 +2,9 @@
 
 A query is an AND of per-dimension ranges (the paper §3: equality
 predicates are ranges with lo == hi; disjunctions are decomposed upstream
-into multiple queries). Unfiltered dimensions carry (-inf, +inf).
+into multiple queries). Unfiltered dimensions carry exactly (-inf, +inf);
+any other range filters its dimension, so ``(inf, inf)`` matches the
++inf values and a range with a NaN bound matches no value.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ class Query:
     """An AND-of-ranges filter plus an aggregation.
 
     ``ranges`` is a (d, 2) float array of inclusive [lo, hi] bounds per
-    dimension; +-inf marks an unfiltered dimension. ``agg`` is either
+    dimension; (-inf, +inf) marks an unfiltered dimension. ``agg`` is either
     ``"count"`` or ``"sum"``; for SUM, ``agg_dim`` names the aggregated
     column.
     """
@@ -41,15 +43,14 @@ class Query:
 
     @property
     def filtered_dims(self) -> np.ndarray:
-        """Indices of dimensions with a finite bound on either side."""
+        """Indices of dimensions whose range is not exactly (-inf, +inf)."""
         return np.where(
-            np.isfinite(self.ranges[:, 0]) | np.isfinite(self.ranges[:, 1])
+            (self.ranges[:, 0] != -np.inf) | (self.ranges[:, 1] != np.inf)
         )[0]
 
     def filters(self, dim: int) -> bool:
-        return bool(
-            np.isfinite(self.ranges[dim, 0]) or np.isfinite(self.ranges[dim, 1])
-        )
+        lo, hi = self.ranges[dim]
+        return not (lo == -np.inf and hi == np.inf)
 
     def mask(self, data: np.ndarray) -> np.ndarray:
         """Brute-force boolean match mask over an (n, d) matrix (test oracle)."""

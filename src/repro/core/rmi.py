@@ -24,9 +24,15 @@ class RMI:
             raise ValueError("RMI requires at least one key")
         self.keys = np.sort(keys)
         self.n = self.keys.size
-        self.n_experts = max(1, min(n_experts, self.n))
-        self.lo = float(self.keys[0])
-        self.hi = float(self.keys[-1])
+        # the model covers the finite keys, ranks [_first, _end): sorting
+        # puts -inf first and +inf, then NaN, last. Lookups of ±inf and NaN
+        # search exactly.
+        self._first = int(np.searchsorted(self.keys, -np.inf, side="right"))
+        self._end = int(np.searchsorted(self.keys, np.inf, side="left"))
+        finite = self.keys[self._first:self._end]
+        self.n_experts = max(1, min(n_experts, finite.size))
+        self.lo = float(finite[0]) if finite.size else 0.0
+        self.hi = float(finite[-1]) if finite.size else 0.0
         span = self.hi - self.lo
         # Root: linear spline value -> expert id over [lo, hi].
         self._root_scale = (self.n_experts / span) if span > 0 else 0.0
@@ -37,8 +43,9 @@ class RMI:
         return np.clip(e, 0, self.n_experts - 1)
 
     def _fit_leaves(self) -> None:
-        expert_of = self._route(self.keys)
-        ranks = np.arange(self.n, dtype=np.float64)
+        keys = self.keys[self._first:self._end]
+        expert_of = self._route(keys)
+        ranks = np.arange(self._first, self._end, dtype=np.float64)
         self._slope = np.zeros(self.n_experts)
         self._icept = np.zeros(self.n_experts)
         self._err = np.zeros(self.n_experts, dtype=np.int64)  # max abs error
@@ -48,9 +55,9 @@ class RMI:
             s, t = bounds[e], bounds[e + 1]
             if s == t:
                 # Empty expert: predict the boundary rank.
-                self._icept[e] = float(s)
+                self._icept[e] = float(s + self._first)
                 continue
-            x, y = self.keys[s:t], ranks[s:t]
+            x, y = keys[s:t], ranks[s:t]
             xm, ym = x.mean(), y.mean()
             var = ((x - xm) ** 2).sum()
             slope = ((x - xm) * (y - ym)).sum() / var if var > 0 else 0.0
@@ -86,7 +93,7 @@ class RMI:
         out = []
         for v, side in ((lo, "left"), (hi, "right")):
             if not np.isfinite(v):
-                out.append(0 if side == "left" else self.n)
+                out.append(int(np.searchsorted(self.keys, v, side=side)))
                 continue
             pred = self.predict(v)[0]
             err = int(self.max_error(v)[0]) + 1

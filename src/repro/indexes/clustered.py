@@ -40,6 +40,8 @@ class ClusteredIndex(BaseIndex):
         if not q.filters(sd):
             return [(0, self.n, False)], 0
         lo, hi = q.ranges[sd]
+        if not lo <= hi:
+            return [], 0  # an empty (inverted or NaN) range matches no row
         s, e = self.rmi.lookup_range(lo, hi)
         # exact iff the clustered dim is the only filtered dim
         exact = q.filtered_dims.size == 1

@@ -8,8 +8,9 @@ without they are equal-width. Points are stored sorted by (cell id,
 sort-dim value), cell ids running in depth-first (row-major) order over
 the grid — exactly Fig 2.
 
-Query flow (§3.2): *projection* intersects the query hyper-rectangle with
-the grid to find the visited cells; *refinement* turns each visited cell
+Query flow (§3.2): *projection* (:func:`project`, which ``sparkglue``
+shares) intersects the query hyper-rectangle with the grid to find the
+visited cells; *refinement* turns each visited cell
 into the physical range of its rows whose sort-dim value lies in the
 query's range. Rows are stored sorted by the int64 key
 ``cell id · U + rank of the sort value`` (U distinct sort values, NaN
@@ -25,7 +26,6 @@ targets (§4.1.1). Its features come from the typed counts of
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -130,6 +130,86 @@ def default_layout(data: np.ndarray, workload: list[Query],
     return Layout(order=grid + [sort_dim], cols=[c] * (d - 1), flatten=flatten)
 
 
+def _no_cells():
+    """The projection of a query that visits no cell."""
+    return np.empty(0, dtype=np.int64), [], np.empty(0, dtype=bool)
+
+
+def project(layout: Layout, edges: list[np.ndarray], nan_free: list[bool], q: Query):
+    """Intersect the query rectangle with the grid (§3.2.1).
+
+    ``edges`` and ``nan_free`` (the dimension holds no NaN) are per grid
+    dim, in layout order. Returns the visited cell ids (ascending), each
+    grid dim's inclusive column range, and per visited cell whether every
+    grid-dim filter holds for all its rows (a candidate for exactness).
+    An empty range (``not lo <= hi``: inverted or NaN) on any dimension,
+    the sort dim included, visits no cell.
+    """
+    lo, hi = q.ranges[layout.sort_dim]
+    if not lo <= hi:
+        return _no_cells()
+    col_ranges: list[tuple[int, int]] = []
+    interior_masks: list[np.ndarray] = []
+    for dim, c, e, nf in zip(layout.grid_dims, layout.cols, edges, nan_free):
+        if q.filters(dim):
+            lo, hi = q.ranges[dim]
+            if not lo <= hi:
+                return _no_cells()
+            # only ±inf is open
+            clo = 0 if lo == -np.inf else int(column_of(e, lo))
+            chi = c - 1 if hi == np.inf else int(column_of(e, hi))
+            cols = np.arange(clo, chi + 1)
+            # interior columns match the filter for sure (see §3.2.1);
+            # boundary columns need per-point checks
+            inner = (cols > clo) & (cols < chi)
+            if lo == -np.inf:
+                inner |= cols < chi
+            if hi == np.inf:
+                inner |= cols > clo
+                # NaN values, which match no filter, sit in the last column
+                inner[-1] &= nf
+            col_ranges.append((clo, chi))
+            interior_masks.append(inner)
+        else:
+            col_ranges.append((0, c - 1))
+            interior_masks.append(np.ones(c, dtype=bool))
+    # cartesian product of column ranges → cell ids (row-major strides).
+    # Singleton dims (1 column, or an unfiltered narrow range) fold into
+    # a constant; only non-singleton dims pay an outer-sum — much
+    # cheaper than a d-way meshgrid for the common mostly-1-column case.
+    strides = np.ones(len(layout.cols), dtype=np.int64)
+    for i in range(len(layout.cols) - 2, -1, -1):
+        strides[i] = strides[i + 1] * layout.cols[i + 1]
+    const = 0
+    arrs: list[np.ndarray] = []
+    iconst = True
+    iarrs: list[np.ndarray] = []
+    for (lo, hi), s, im in zip(col_ranges, strides, interior_masks):
+        if hi == lo:
+            const += lo * s
+            iconst = iconst and bool(im[0])
+        else:
+            arrs.append(np.arange(lo, hi + 1) * s)
+            iarrs.append(im)
+    if not arrs:
+        cells = np.array([const], dtype=np.int64)
+    else:
+        acc = arrs[0]
+        for a in arrs[1:]:
+            acc = (acc[:, None] + a[None, :]).ravel()
+        cells = acc + const
+    if not iconst:
+        interior_ok = np.zeros(cells.size, dtype=bool)
+    elif not iarrs:
+        interior_ok = np.ones(cells.size, dtype=bool)
+    else:
+        iacc = iarrs[0]
+        for a in iarrs[1:]:
+            iacc = (iacc[:, None] & a[None, :]).ravel()
+        interior_ok = iacc
+    return cells, col_ranges, interior_ok
+
+
 class FloodIndex(BaseIndex):
     name = "flood"
 
@@ -188,7 +268,7 @@ class FloodIndex(BaseIndex):
         (the cost model's w_p / w_r targets, §4.1.1)."""
         self._check(q)
         t0 = time.perf_counter()
-        cells, col_ranges, interior_ok = self._project(q)
+        cells, _, interior_ok = project(self.layout, self.edges, self._nan_free, q)
         t_proj = time.perf_counter() - t0
 
         sort_filtered = q.filters(self.layout.sort_dim)
@@ -209,75 +289,6 @@ class FloodIndex(BaseIndex):
             extra={"proj_time": t_proj, "refine_time": t_ref},
         )
 
-    def _project(self, q: Query):
-        """Intersect the query rectangle with the grid (§3.2.1).
-
-        Returns (cell ids visited, per-dim column ranges, per-cell bool:
-        all grid-dim filters fully satisfied — candidate for exactness).
-        """
-        L = self.layout
-        col_ranges: list[tuple[int, int]] = []
-        interior_masks: list[np.ndarray] = []
-        for dim, c, edges, nan_free in zip(L.grid_dims, L.cols, self.edges,
-                                           self._nan_free):
-            if q.filters(dim):
-                lo, hi = q.ranges[dim]
-                # only ±inf is open; a NaN bound is looked up like a number
-                clo = 0 if lo == -np.inf else int(column_of(edges, lo))
-                chi = c - 1 if hi == np.inf else int(column_of(edges, hi))
-                cols = np.arange(clo, chi + 1)
-                # interior columns match the filter for sure (see §3.2.1);
-                # boundary columns need per-point checks
-                inner = (cols > clo) & (cols < chi)
-                if lo == -np.inf:
-                    inner |= cols < chi
-                if hi == np.inf:
-                    inner |= cols > clo
-                    # NaN values, which match no filter, sit in the last column
-                    inner[-1] &= nan_free
-                if math.isnan(lo) or math.isnan(hi):
-                    inner[:] = False  # a NaN bound matches no row
-                col_ranges.append((clo, chi))
-                interior_masks.append(inner)
-            else:
-                col_ranges.append((0, c - 1))
-                interior_masks.append(np.ones(c, dtype=bool))
-        # cartesian product of column ranges → cell ids (row-major strides).
-        # Singleton dims (1 column, or an unfiltered narrow range) fold into
-        # a constant; only non-singleton dims pay an outer-sum — much
-        # cheaper than a d-way meshgrid for the common mostly-1-column case.
-        strides = np.ones(len(L.cols), dtype=np.int64)
-        for i in range(len(L.cols) - 2, -1, -1):
-            strides[i] = strides[i + 1] * L.cols[i + 1]
-        const = 0
-        arrs: list[np.ndarray] = []
-        iconst = True
-        iarrs: list[np.ndarray] = []
-        for (lo, hi), s, im in zip(col_ranges, strides, interior_masks):
-            if hi == lo:
-                const += lo * s
-                iconst = iconst and bool(im[0])
-            else:
-                arrs.append(np.arange(lo, hi + 1) * s)
-                iarrs.append(im)
-        if not arrs:
-            cells = np.array([const], dtype=np.int64)
-        else:
-            acc = arrs[0]
-            for a in arrs[1:]:
-                acc = (acc[:, None] + a[None, :]).ravel()
-            cells = acc + const
-        if not iconst:
-            interior_ok = np.zeros(cells.size, dtype=bool)
-        elif not iarrs:
-            interior_ok = np.ones(cells.size, dtype=bool)
-        else:
-            iacc = iarrs[0]
-            for a in iarrs[1:]:
-                iacc = (iacc[:, None] & a[None, :]).ravel()
-            interior_ok = iacc
-        return cells, col_ranges, interior_ok
-
     def _refine(self, q: Query, cells: np.ndarray, interior_ok: np.ndarray,
                 sort_filtered: bool):
         """Refinement over the sort dimension (§3.2.2): two binary searches
@@ -294,10 +305,10 @@ class FloodIndex(BaseIndex):
         lo, hi = 0, keys.size
         if sort_filtered:
             a, b = q.ranges[self.layout.sort_dim]
-            # NaN is the last key: +inf cuts before it, and a NaN bound
-            # (which matches no row) leaves an empty or inverted cut
+            # NaN is the last key, so +inf cuts before it; a NaN bound
+            # never gets here, as its projection visits no cell
             lo = keys.searchsorted(a, "left")
-            hi = 0 if math.isnan(b) else keys.searchsorted(b, "right")
+            hi = keys.searchsorted(b, "right")
         base = cells * keys.size
         starts = self.key.searchsorted(base + lo)
         ends = self.key.searchsorted(base + hi)

@@ -136,7 +136,10 @@ class GridFile(BaseIndex):
         return _Split(dim, val, left, right)
 
     def _ranges(self, q: Query):
-        qlo, qhi = q.ranges[:, 0], q.ranges[:, 1]
+        # buckets are half-open, but a bucket whose top is +inf holds the
+        # +inf values: a lower bound of +inf cuts at the largest float instead
+        qlo = np.minimum(q.ranges[:, 0], np.finfo(np.float64).max)
+        qhi = q.ranges[:, 1]
         ranges = []
         n_buckets = 0
         for b, (s, e) in zip(self.buckets, self.bucket_ranges):

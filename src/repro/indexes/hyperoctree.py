@@ -71,7 +71,9 @@ class Hyperoctree(BaseIndex):
         return node
 
     def _ranges(self, q: Query):
-        qlo = q.ranges[:, 0]
+        # boxes are half-open, but a box whose top is +inf holds the +inf
+        # values: a lower bound of +inf cuts at the largest float instead
+        qlo = np.minimum(q.ranges[:, 0], np.finfo(np.float64).max)
         qhi = q.ranges[:, 1]
         leaves: list[_Node] = []
         n_pages = 0

@@ -12,6 +12,8 @@ DataFrame filters with data skipping"):
    grid dims), then ``repartitionByRange(cell_id)`` +
    ``sortWithinPartitions(cell_id, sort_dim)`` materializes exactly
    Flood's storage order: cells contiguous, sort-dim ordered within.
+3. :func:`project_bounds` — Flood's own projection of a query onto the
+   grid, which ``repro.sparkglue.scan`` turns into a cell-id predicate.
 
 The resulting DataFrame is clustered on ``cell_id``; range predicates on
 it are pushed into the in-memory columnar scan where batch-level min/max
@@ -28,7 +30,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType
 
-from repro.indexes.flood import Layout, column_edges, column_of
+from repro.core.query import query_from_dict
+from repro.indexes.flood import Layout, column_edges, project
 
 CELL_COL = "__flood_cell"
 
@@ -97,30 +100,25 @@ def apply_flood_layout(df: DataFrame, sfl: SparkFloodLayout,
     return parted.sortWithinPartitions(CELL_COL, sfl.sort_col)
 
 
+def project_bounds(sfl: SparkFloodLayout, bounds: dict[str, tuple[float, float]]):
+    """Flood's projection (:func:`repro.indexes.flood.project`, §3.2.1) of
+    a query given as column name -> range; names outside the layout are
+    left to the residual filter. Spark claims no cell exact, so every grid
+    dim counts as holding NaN."""
+    dim_of = {name: dim for dim, name in enumerate(sfl.dim_cols)}
+    q = query_from_dict(len(sfl.dim_cols),
+                        {dim_of[c]: b for c, b in bounds.items() if c in dim_of})
+    grid = sfl.layout.grid_dims
+    return project(sfl.layout, [sfl.boundaries[d] for d in grid], [False] * len(grid), q)
+
+
 def cell_runs_for_query(sfl: SparkFloodLayout,
                         bounds: dict[str, tuple[float, float]]) -> list[tuple[int, int]]:
-    """Projection (§3.2.1) on the driver: contiguous [lo, hi] cell-id runs
-    intersecting the query rectangle. ``bounds`` maps column name -> range;
-    an empty (inverted or NaN) range matches no row, so it gives no runs."""
-    if any(not lo <= hi for lo, hi in bounds.values()):
+    """Contiguous [lo, hi] runs of the cell ids the query visits; an empty
+    (inverted or NaN) range visits no cell, so it gives no runs."""
+    cells = project_bounds(sfl, bounds)[0]  # ascending
+    if not cells.size:
         return []
-    layout, boundaries = sfl.layout, sfl.boundaries
-    per_dim: list[np.ndarray] = []
-    for dim, c in zip(layout.grid_dims, layout.cols):
-        name = sfl.dim_cols[dim]
-        if name in bounds:
-            lo, hi = bounds[name]
-            clo, chi = column_of(boundaries[dim], [lo, hi])
-            per_dim.append(np.arange(clo, chi + 1))
-        else:
-            per_dim.append(np.arange(c))
-    if not per_dim:
-        return [(0, 0)]
-    strides = np.ones(len(per_dim), dtype=np.int64)
-    for i in range(len(per_dim) - 2, -1, -1):
-        strides[i] = strides[i + 1] * layout.cols[i + 1]
-    mesh = np.meshgrid(*[g * s for g, s in zip(per_dim, strides)], indexing="ij")
-    cells = np.sort(np.asarray(sum(mesh)).ravel())
     cut = np.flatnonzero(np.diff(cells) != 1) + 1
     starts, ends = cells[np.r_[0, cut]], cells[np.r_[cut - 1, cells.size - 1]]
     return list(zip(starts.tolist(), ends.tolist()))

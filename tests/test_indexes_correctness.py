@@ -144,3 +144,36 @@ def test_rstar_prunes_on_many_seeds(with_workload):
         r = RStarTree(page_size=128).build(data, wl).query(q)
         assert r.value == q.mask(data).sum()
         assert r.n_scanned < N * 0.6, seed
+
+
+_EDGE_RANGES = [(np.nan, np.nan), (np.inf, np.inf), (-np.inf, -np.inf), (np.inf, -np.inf),
+                (np.nan, np.inf), (-np.inf, np.nan), (0.5, np.inf)]
+
+
+@pytest.mark.parametrize("with_inf", [False, True])
+def test_open_and_nan_ranges_on_every_index(with_inf):
+    """Only (-inf, +inf) leaves a dimension unfiltered: ``(inf, inf)``
+    matches the +inf values, ``(-inf, -inf)`` the -inf ones, and a NaN
+    bound matches nothing, on every index. Flood filters dim 1 as a grid
+    dim and then as its sort dim; Clustered as its clustered dim too."""
+    rng = np.random.default_rng(5)
+    data = rng.random((2000, D))
+    if with_inf:
+        rows = rng.choice(2000, 9, replace=False)
+        data[rows[:5], 1] = np.inf
+        data[rows[5:], 1] = -np.inf
+    indexes = {n: f() for n, f in _factories().items()}
+    indexes["flood"] = FloodIndex(layout=Layout(order=[1, 0, 2, 3], cols=[5, 4, 3]))
+    indexes["flood_sort_dim"] = FloodIndex(layout=Layout(order=[0, 2, 3, 1], cols=[4, 4, 3]))
+    indexes["clustered_dim_1"] = ClusteredIndex(sort_dim=1)
+    for name, idx in indexes.items():
+        idx.build(data)
+        for bounds in _EDGE_RANGES:
+            for other in ({}, {0: (0.2, 0.7)}):
+                q = query_from_dict(D, {1: bounds, **other})
+                r = idx.query(q)
+                m = q.mask(data)
+                assert (r.value, r.n_matched) == (m.sum(), m.sum()), (name, bounds, other)
+    if with_inf:
+        for bounds, want in (((np.inf, np.inf), 5), ((-np.inf, -np.inf), 4)):
+            assert query_from_dict(D, {1: bounds}).mask(data).sum() == want

@@ -60,6 +60,23 @@ def test_lookup_range_open_bounds():
     assert m.lookup_range(-np.inf, np.inf) == (0, 100)
 
 
+@pytest.mark.parametrize("n_finite", [0, 1, 500])
+def test_lookup_range_with_non_finite_keys(n_finite):
+    """The model covers the finite keys; ±inf and NaN keys and bounds are
+    found by exact search, so every lookup equals searchsorted."""
+    rng = np.random.default_rng(4)
+    keys = np.concatenate([rng.random(n_finite) * 10, [np.inf] * 5, [-np.inf] * 4,
+                           [np.nan] * 3])
+    m = RMI(keys)
+    srt = np.sort(keys)
+    probes = [-np.inf, np.inf, np.nan, 0.0, 2.5, 9.99, 11.0]
+    for lo in probes:
+        for hi in probes:
+            want = (np.searchsorted(srt, lo, side="left"),
+                    np.searchsorted(srt, hi, side="right"))
+            assert m.lookup_range(lo, hi) == want, (lo, hi)
+
+
 def test_single_key():
     m = RMI(np.array([42.0]))
     assert m.cdf(41.0)[0] == 0.0

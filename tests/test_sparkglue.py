@@ -5,6 +5,9 @@ Results are oracle-checked against DuckDB over the same input
 (cell clustering, within-partition sort order, skipping effectiveness)
 are asserted on the materialized DataFrame.
 """
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -15,11 +18,14 @@ from repro.indexes.flood import FloodIndex, Layout
 from repro.oracle import assert_equivalent
 from repro.sparkglue.layout import (CELL_COL, apply_flood_layout,
                                     cell_runs_for_query, learn_boundaries)
-from repro.sparkglue.scan import (distributed_breakdown, flood_scan,
-                                  skipped_fraction)
+from repro.sparkglue.scan import flood_scan, scan_counts
 
 DIM_COLS = ["l_orderkey", "l_quantity", "l_discount", "l_extendedprice"]
 LAYOUT = Layout(order=[0, 1, 2, 3], cols=[8, 4, 4])  # sort dim: extendedprice
+# 20k cells; a narrow extendedprice range visits one cell in 20 of each
+# orderkey column: 1000 cell runs
+FINE_LAYOUT = Layout(order=[0, 3, 1, 2], cols=[1000, 20, 1])
+FINE_QUERY = {"l_extendedprice": (10000.0, 10500.0)}
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +39,16 @@ def laid(spark, li_pdf):
     sfl = learn_boundaries(df, LAYOUT, DIM_COLS, sample_rows=20_000)
     out = apply_flood_layout(df, sfl, num_partitions=8).cache()
     out.count()  # materialize
+    yield out, sfl
+    out.unpersist()
+
+
+@pytest.fixture(scope="module")
+def fine(spark, li_pdf):
+    df = spark.createDataFrame(li_pdf)
+    sfl = learn_boundaries(df, FINE_LAYOUT, DIM_COLS, sample_rows=2 * len(li_pdf))
+    out = apply_flood_layout(df, sfl, num_partitions=8).cache()
+    out.count()
     yield out, sfl
     out.unpersist()
 
@@ -129,31 +145,54 @@ def test_sort_dim_ordered_within_cells(laid):
 
 def test_selective_query_skips_most_rows(laid):
     df, sfl = laid
-    frac = skipped_fraction(df, sfl, {"l_orderkey": (100.0, 300.0)})
+    frac = scan_counts(df, sfl, {"l_orderkey": (100.0, 300.0)})["skipped_fraction"]
     assert frac > 0.5  # 8 columns on orderkey → ≥ 7/8 of cells skippable
 
 
 def test_inverted_range_skips_every_row(laid):
     df, sfl = laid
-    assert skipped_fraction(df, sfl, {"l_orderkey": (900.0, 100.0)}) == 1.0
+    assert scan_counts(df, sfl, {"l_orderkey": (900.0, 100.0)})["skipped_fraction"] == 1.0
 
 
 def test_unselective_query_skips_nothing(laid):
     df, sfl = laid
-    assert skipped_fraction(df, sfl, {}) == 0.0
+    assert scan_counts(df, sfl, {})["skipped_fraction"] == 0.0
 
 
-def test_distributed_breakdown_counts(laid, li_pdf):
-    df, sfl = laid
-    bounds = {"l_orderkey": (100.0, 500.0), "l_quantity": (10.0, 30.0)}
-    r = distributed_breakdown(df, sfl, bounds)
-    m = (
-        (li_pdf["l_orderkey"] >= 100) & (li_pdf["l_orderkey"] <= 500)
-        & (li_pdf["l_quantity"] >= 10) & (li_pdf["l_quantity"] <= 30)
+def test_fine_layout_with_a_thousand_runs_matches_duckdb(fine, li_pdf):
+    """A layout of 20k cells whose query visits 1000 cell runs: the cell
+    predicate stays a few terms, however many runs there are."""
+    df, sfl = fine
+    assert FINE_LAYOUT.n_cells == 20_000
+    assert len(cell_runs_for_query(sfl, FINE_QUERY)) == 1000
+    got = flood_scan(df, sfl, FINE_QUERY).agg(F.count("*").alias("cnt"))
+    assert_equivalent(
+        got,
+        f"SELECT count(*) AS cnt FROM lineitem WHERE {_sql_where(FINE_QUERY)}",
+        lineitem=li_pdf,
     )
-    assert r["n_matched"] == int(m.sum())
-    assert r["n_matched"] <= r["n_scanned"] <= len(li_pdf)
-    assert r["scan_overhead"] >= 1.0
+
+
+@pytest.mark.parametrize("case", [("laid", b) for b in QUERIES] + [("fine", FINE_QUERY)])
+def test_scan_counts_scan_exactly_the_projected_cells(request, spark, li_pdf, case):
+    """``n_scanned`` is the number of rows in the projection's cell runs,
+    and ``n_matched`` equals DuckDB's count."""
+    df, sfl = request.getfixturevalue(case[0])
+    bounds = case[1]
+    r = scan_counts(df, sfl, bounds)
+    cells = np.sort(df.select(CELL_COL).toPandas()[CELL_COL].to_numpy())
+    runs = np.asarray(cell_runs_for_query(sfl, bounds), dtype=np.int64).reshape(-1, 2)
+    in_runs = (np.searchsorted(cells, runs[:, 1], "right")
+               - np.searchsorted(cells, runs[:, 0], "left")).sum()
+    assert r["n_rows"] == len(li_pdf)
+    assert r["n_scanned"] == in_runs
+    assert r["n_matched"] <= r["n_scanned"] <= r["n_rows"]
+    assert r["scan_overhead"] == r["n_scanned"] / max(1, r["n_matched"])
+    assert_equivalent(
+        spark.createDataFrame([(r["n_matched"],)], "cnt long"),
+        f"SELECT count(*) AS cnt FROM lineitem WHERE {_sql_where(bounds)}",
+        lineitem=li_pdf,
+    )
 
 
 def test_cell_runs_merge_contiguous():
@@ -173,7 +212,7 @@ def test_cell_runs_merge_contiguous():
     assert runs == [(0, 7)]
     # an empty range, on a grid or the sort dim, gives no runs
     for bounds in ({"a": (0.9, 0.1)}, {"a": (2.5, 0.5)}, {"c": (5.0, 1.0)},
-                   {"b": (float("nan"), 1.0)}):
+                   {"b": (float("nan"), 1.0)}, {"c": (float("nan"), float("nan"))}):
         assert cell_runs_for_query(sfl, bounds) == []
 
 
@@ -200,3 +239,22 @@ def test_spark_and_numpy_assign_every_row_the_same_cell(spark, li_pdf, flatten):
     idx = FloodIndex(layout=lay).build(li_pdf[DIM_COLS].to_numpy(dtype=np.float64))
     want = idx._cell_ids(got[DIM_COLS].to_numpy(dtype=np.float64))
     np.testing.assert_array_equal(got[CELL_COL].to_numpy(), want)
+
+
+def test_spark_flood_layout_job_runs(spark, capsys):
+    """Smoke test of ``jobs/spark_flood_layout.py``: it learns a layout,
+    lays the table out and counts every query correctly."""
+    path = Path(__file__).resolve().parents[1] / "jobs" / "spark_flood_layout.py"
+    spec = importlib.util.spec_from_file_location("spark_flood_layout", path)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    counts = job.run(spark, sf=0.002, partitions=4)
+    pdf = synth_data.lineitem_pdf(sf=0.002)
+    assert len(counts) == len(job.QUERIES)
+    for bounds, c in zip(job.QUERIES, counts):
+        m = np.ones(len(pdf), dtype=bool)
+        for col, (lo, hi) in bounds.items():
+            m &= pdf[col].between(lo, hi).to_numpy()
+        assert c["n_rows"] == len(pdf)
+        assert c["n_matched"] == m.sum() <= c["n_scanned"]
+    assert "learned layout" in capsys.readouterr().out
