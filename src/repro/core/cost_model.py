@@ -88,8 +88,7 @@ class CostModel:
     n_examples: int = 0
 
     def calibrate(self, data: np.ndarray, workload: list[Query],
-                  n_layouts: int = 10, seed: int = 0,
-                  forest_kw: dict | None = None) -> "CostModel":
+                  n_layouts: int = 10, seed: int = 0) -> "CostModel":
         """Measure (features, weights) on random layouts and fit the forests."""
         t0 = time.perf_counter()
         rng = np.random.default_rng(seed)
@@ -116,7 +115,6 @@ class CostModel:
             rows.append(measured_features(idx, kept, results))
         X = np.concatenate(rows)
         kw = dict(n_estimators=20, max_depth=10, seed=1)
-        kw.update(forest_kw or {})
         self.wp_model = RandomForestRegressor(**kw).fit(X, np.asarray(wps))
         self.wr_model = RandomForestRegressor(**kw).fit(X, np.asarray(wrs))
         self.ws_model = RandomForestRegressor(**kw).fit(X, np.asarray(wss))

@@ -101,9 +101,9 @@ def _estimate_stats(n: int, flat: np.ndarray, filtered: np.ndarray,
 
 def optimize_layout(data: np.ndarray, workload: list[Query], cost_model: CostModel,
                     sample_records: int = 10_000, sample_queries: int = 100,
-                    max_cells: int | None = None, seed: int = 0,
-                    flatten: bool = True) -> OptimizationResult:
-    """Algorithm 1: best layout over d candidate sort dimensions."""
+                    seed: int = 0) -> OptimizationResult:
+    """Algorithm 1: best flattened layout over d candidate sort dimensions,
+    with at most max(64, n/8) cells."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     n, d = data.shape
@@ -123,8 +123,7 @@ def optimize_layout(data: np.ndarray, workload: list[Query], cost_model: CostMod
     filtered = np.zeros((len(wl), d), dtype=bool)
     for qi, q in enumerate(wl):
         filtered[qi, q.filtered_dims] = True
-    if max_cells is None:
-        max_cells = max(64, n // 8)
+    max_cells = max(64, n // 8)
     sel = [int(x) for x in selectivity_order(data, wl)]
 
     def cost_of(order: list[int], cols: list[int]) -> float:
@@ -140,7 +139,7 @@ def optimize_layout(data: np.ndarray, workload: list[Query], cost_model: CostMod
         c = cost_of(order, cols)
         per_sort[sort_dim] = c
         if best is None or c < best[0]:
-            best = (c, Layout(order=order, cols=cols, flatten=flatten))
+            best = (c, Layout(order=order, cols=cols))
     return OptimizationResult(
         layout=best[1],
         cost=best[0],

@@ -118,10 +118,10 @@ def build_baseline(name: str, data: np.ndarray, train: list[Query],
 
 
 def build_flood(data: np.ndarray, train: list[Query], cost_model: CostModel,
-                seed: int = 0, **opt_kw) -> tuple[FloodIndex, float, float]:
+                seed: int = 0) -> tuple[FloodIndex, float, float]:
     """Learn the layout (§4.2) then load the index; returns
     (index, learning time, loading time) — Table 4's Flood split."""
-    res = optimize_layout(data, train, cost_model, seed=seed, **opt_kw)
+    res = optimize_layout(data, train, cost_model, seed=seed)
     t0 = time.perf_counter()
     idx = FloodIndex(layout=res.layout).build(data, train)
     load_time = time.perf_counter() - t0

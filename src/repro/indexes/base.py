@@ -61,7 +61,9 @@ class BaseIndex:
     def query(self, q: Query) -> QueryResult:
         self._check(q)
         t0 = time.perf_counter()
-        ranges, n_cells = self._ranges(q)
+        lo, hi = q.ranges.T
+        # an empty (inverted or NaN) range on any dimension matches no row
+        ranges, n_cells = self._ranges(q) if (lo <= hi).all() else ([], 0)
         r = np.array(ranges, dtype=np.int64).reshape(-1, 3)
         index_time = time.perf_counter() - t0
         stats = self.store.scan(r[:, 0], r[:, 1], r[:, 2].astype(bool), q)
@@ -77,7 +79,8 @@ class BaseIndex:
         )
 
     def _ranges(self, q: Query) -> tuple[list[tuple[int, int, bool]], int]:
-        """Physical (start, end, exact) ranges to scan, plus visited cell count."""
+        """Physical (start, end, exact) ranges to scan, plus visited cell
+        count; called only when every dimension's range is nonempty."""
         raise NotImplementedError
 
     # -- introspection -------------------------------------------------------

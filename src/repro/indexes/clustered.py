@@ -18,14 +18,16 @@ from repro.core.query import Query
 from repro.core.rmi import RMI
 from repro.indexes.base import BaseIndex, selectivity_order
 
+#: leaf models of the RMI over the clustered dimension
+N_EXPERTS = 256
+
 
 class ClusteredIndex(BaseIndex):
     name = "clustered"
 
-    def __init__(self, sort_dim: int | None = None, n_experts: int = 256):
+    def __init__(self, sort_dim: int | None = None):
         super().__init__()
         self.sort_dim = sort_dim
-        self.n_experts = n_experts
         self.rmi: RMI | None = None
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
@@ -33,16 +35,13 @@ class ClusteredIndex(BaseIndex):
             self.sort_dim = int(selectivity_order(data, workload)[0]) if workload else 0
         order = np.argsort(data[:, self.sort_dim], kind="stable")
         self.store = ColumnStore(data[order])
-        self.rmi = RMI(self.store.cols[self.sort_dim], n_experts=self.n_experts)
+        self.rmi = RMI(self.store.cols[self.sort_dim], n_experts=N_EXPERTS)
 
     def _ranges(self, q: Query):
         sd = self.sort_dim
         if not q.filters(sd):
             return [(0, self.n, False)], 0
-        lo, hi = q.ranges[sd]
-        if not lo <= hi:
-            return [], 0  # an empty (inverted or NaN) range matches no row
-        s, e = self.rmi.lookup_range(lo, hi)
+        s, e = self.rmi.lookup_range(*q.ranges[sd])
         # exact iff the clustered dim is the only filtered dim
         exact = q.filtered_dims.size == 1
         return [(s, e, exact)], 1

@@ -115,19 +115,17 @@ def column_edges(values: np.ndarray, c: int, flatten: bool = True) -> np.ndarray
         return np.where(reaches(edges), edges, np.nan)
 
 
-def default_layout(data: np.ndarray, workload: list[Query],
-                   target_cells: int | None = None, flatten: bool = True) -> Layout:
+def default_layout(data: np.ndarray, workload: list[Query]) -> Layout:
     """Heuristic (un-learned) layout: selectivity-ordered dims, most
-    selective dim as sort dim, equal columns per grid dim. The optimizer
-    (repro.core.optimizer) replaces this with the learned layout."""
+    selective dim as sort dim, equal flattened columns per grid dim, about
+    one cell per 4096 rows. The optimizer (repro.core.optimizer) replaces
+    this with the learned layout."""
     n, d = data.shape
     sel = selectivity_order(data, workload)
     sort_dim = int(sel[0]) if workload else d - 1
     grid = [int(x) for x in sel if int(x) != sort_dim]
-    if target_cells is None:
-        target_cells = max(1, n // 4096)
-    c = max(1, int(round(target_cells ** (1 / max(1, d - 1)))))
-    return Layout(order=grid + [sort_dim], cols=[c] * (d - 1), flatten=flatten)
+    c = max(1, int(round(max(1, n // 4096) ** (1 / max(1, d - 1)))))
+    return Layout(order=grid + [sort_dim], cols=[c] * (d - 1))
 
 
 def _no_cells():

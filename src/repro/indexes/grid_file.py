@@ -23,6 +23,9 @@ from repro.columnstore.store import ColumnStore
 from repro.core.query import Query
 from repro.indexes.base import BaseIndex
 
+#: buckets stop splitting once there are this many
+MAX_BUCKETS = 200_000
+
 
 class _Bucket:
     __slots__ = ("lo", "hi", "points", "cycle")
@@ -44,10 +47,9 @@ class _Split:
 class GridFile(BaseIndex):
     name = "grid_file"
 
-    def __init__(self, page_size: int = 1024, max_buckets: int = 200_000):
+    def __init__(self, page_size: int = 1024):
         super().__init__()
         self.page_size = page_size
-        self.max_buckets = max_buckets
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
         d = self.d
@@ -71,7 +73,7 @@ class GridFile(BaseIndex):
             if (
                 len(node.points) > self.page_size
                 and node.cycle >= 0  # -1 marks a bucket proven unsplittable
-                and self.n_buckets < self.max_buckets
+                and self.n_buckets < MAX_BUCKETS
             ):
                 split = self._split_bucket(node, data)
                 if split is None:

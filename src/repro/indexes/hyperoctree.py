@@ -14,6 +14,9 @@ from repro.columnstore.store import ColumnStore
 from repro.core.query import Query
 from repro.indexes.base import BaseIndex
 
+#: a node this deep is a leaf, however many points it holds
+MAX_DEPTH = 24
+
 
 class _Node:
     __slots__ = ("start", "end", "lo", "hi", "children")
@@ -27,10 +30,9 @@ class _Node:
 class Hyperoctree(BaseIndex):
     name = "hyperoctree"
 
-    def __init__(self, page_size: int = 1024, max_depth: int = 24):
+    def __init__(self, page_size: int = 1024):
         super().__init__()
         self.page_size = page_size
-        self.max_depth = max_depth
         self.root: _Node | None = None
         self.n_nodes = 0
 
@@ -50,7 +52,7 @@ class Hyperoctree(BaseIndex):
         self.n_nodes += 1
         start = sum(p.size for p in self._perm_parts)
         node = _Node(start, start + idx.size, lo.copy(), hi.copy())
-        if idx.size <= self.page_size or depth >= self.max_depth:
+        if idx.size <= self.page_size or depth >= MAX_DEPTH:
             self._perm_parts.append(idx)
             return node
         mid = (lo + hi) / 2

@@ -6,7 +6,7 @@ libspatialindex is unavailable offline, so this is a Sort-Tile-Recursive
 what libspatialindex's bulk loader implements): sort by the first
 dimension, slice into tiles, recursively tile the remaining dimensions,
 yielding leaf pages with compact minimum bounding rectangles (MBRs).
-Internal nodes group ``fanout`` children bottom-up. Queries descend
+Internal nodes group ``FANOUT`` children bottom-up. Queries descend
 nodes whose MBRs intersect the query rectangle.
 """
 from __future__ import annotations
@@ -17,14 +17,16 @@ from repro.columnstore.store import ColumnStore
 from repro.core.query import Query
 from repro.indexes.base import BaseIndex, selectivity_order
 
+#: children per internal node
+FANOUT = 16
+
 
 class RStarTree(BaseIndex):
     name = "rstar"
 
-    def __init__(self, page_size: int = 1024, fanout: int = 16):
+    def __init__(self, page_size: int = 1024):
         super().__init__()
         self.page_size = page_size
-        self.fanout = fanout
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
         sel = selectivity_order(data, workload) if workload else np.arange(self.d)
@@ -41,14 +43,14 @@ class RStarTree(BaseIndex):
             s, e = p * ps, min((p + 1) * ps, self.n)
             leaf_lo[p], leaf_hi[p] = m[s:e].min(axis=0), m[s:e].max(axis=0)
             leaf_rng[p] = (s, e)
-        # bottom-up levels of MBRs; level[k] groups fanout nodes of level[k-1]
+        # bottom-up levels of MBRs; level[k] groups FANOUT nodes of level[k-1]
         self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [
             (leaf_lo, leaf_hi, leaf_rng)
         ]
         while self.levels[-1][0].shape[0] > 1:
             lo, hi, _ = self.levels[-1]
             k = lo.shape[0]
-            f = self.fanout
+            f = FANOUT
             ng = (k + f - 1) // f
             glo = np.empty((ng, self.d))
             ghi = np.empty((ng, self.d))

@@ -10,106 +10,65 @@ time.
 Splits are found by an O(n log n) exhaustive scan per feature (sort once,
 prefix sums of y and y^2 give the variance of every threshold in one
 pass), which is the textbook regression-tree criterion.
+
+The fitted forest is one set of ``(n_trees, max_nodes)`` node arrays,
+each tree padded to the longest; ``left`` and ``right`` hold a child's
+index into the flattened arrays. A leaf splits on feature 0 at ``+inf``
+and both its children are itself, so ``max_depth`` steps of gathers move
+every row of every tree to its leaf at once; a NaN feature goes right, and
+at a leaf right is the leaf.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
-class _Tree:
-    """One CART regression tree, stored as flat arrays."""
-
-    def __init__(self, max_depth: int, min_leaf: int, rng: np.random.Generator,
-                 max_features: float):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.rng = rng
-        self.max_features = max_features
-        # node arrays, grown dynamically
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        self._grow(X, y, depth=0)
-
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> int:
-        node = self._new_node()
-        self.value[node] = float(y.mean())
-        n = y.size
-        if depth >= self.max_depth or n < 2 * self.min_leaf or np.ptp(y) == 0:
-            return node
-        n_feat = X.shape[1]
-        k = max(1, int(round(self.max_features * n_feat)))
-        feats = self.rng.choice(n_feat, size=k, replace=False)
-        best = (np.inf, -1, 0.0)  # (weighted sse, feature, threshold)
-        for f in feats:
-            order = np.argsort(X[:, f], kind="stable")
-            xs, ys = X[order, f], y[order]
-            # candidate split after position i (1..n-1) where value changes
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys * ys)
-            idx = np.arange(1, n)
-            valid = xs[1:] != xs[:-1]
-            idx = idx[valid]
-            idx = idx[(idx >= self.min_leaf) & (idx <= n - self.min_leaf)]
-            if idx.size == 0:
-                continue
-            nl = idx.astype(np.float64)
-            nr = n - nl
-            sl, sr = csum[idx - 1], csum[-1] - csum[idx - 1]
-            ql, qr = csq[idx - 1], csq[-1] - csq[idx - 1]
-            sse = (ql - sl * sl / nl) + (qr - sr * sr / nr)
-            j = int(np.argmin(sse))
-            if sse[j] < best[0]:
-                thr = 0.5 * (xs[idx[j] - 1] + xs[idx[j]])
-                best = (float(sse[j]), int(f), float(thr))
-        if best[1] < 0:
-            return node
-        f, thr = best[1], best[2]
-        mask = X[:, f] <= thr
-        if mask.all() or not mask.any():
-            return node
-        self.feature[node] = f
-        self.threshold[node] = thr
-        self.left[node] = self._grow(X[mask], y[mask], depth + 1)
-        self.right[node] = self._grow(X[~mask], y[~mask], depth + 1)
+def _grow(X: np.ndarray, y: np.ndarray, depth: int, nodes: list[list],
+          rng: np.random.Generator, max_depth: int, min_leaf: int,
+          max_features: float) -> int:
+    """Grow one subtree depth first into ``nodes`` (rows of feature,
+    threshold, left, right, value); returns the index of its root."""
+    node = len(nodes)
+    nodes.append([0, np.inf, node, node, float(y.mean())])  # a leaf
+    n = y.size
+    if depth >= max_depth or n < 2 * min_leaf or np.ptp(y) == 0:
         return node
-
-    def _freeze(self) -> None:
-        """Convert node lists to arrays once after fit (for fast predict)."""
-        self._feature = np.asarray(self.feature)
-        self._threshold = np.asarray(self.threshold)
-        self._left = np.asarray(self.left)
-        self._right = np.asarray(self.right)
-        self._value = np.asarray(self.value)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized level-synchronous traversal: every row advances one
-        node per iteration until all rows sit on leaves (≤ max_depth
-        iterations of O(n) gathers, no per-row Python loop)."""
-        feature, threshold = self._feature, self._threshold
-        left, right, value = self._left, self._right, self._value
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = feature[node] >= 0
-        while active.any():
-            idx = np.where(active)[0]
-            nd = node[idx]
-            f = feature[nd]
-            go_left = X[idx, f] <= threshold[nd]
-            node[idx] = np.where(go_left, left[nd], right[nd])
-            active[idx] = feature[node[idx]] >= 0
-        return value[node]
+    n_feat = X.shape[1]
+    k = max(1, int(round(max_features * n_feat)))
+    feats = rng.choice(n_feat, size=k, replace=False)
+    best = (np.inf, -1, 0.0)  # (weighted sse, feature, threshold)
+    for f in feats:
+        order = np.argsort(X[:, f], kind="stable")
+        xs, ys = X[order, f], y[order]
+        # candidate split after position i (1..n-1) where value changes
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        idx = np.arange(1, n)
+        valid = xs[1:] != xs[:-1]
+        idx = idx[valid]
+        idx = idx[(idx >= min_leaf) & (idx <= n - min_leaf)]
+        if idx.size == 0:
+            continue
+        nl = idx.astype(np.float64)
+        nr = n - nl
+        sl, sr = csum[idx - 1], csum[-1] - csum[idx - 1]
+        ql, qr = csq[idx - 1], csq[-1] - csq[idx - 1]
+        sse = (ql - sl * sl / nl) + (qr - sr * sr / nr)
+        j = int(np.argmin(sse))
+        if sse[j] < best[0]:
+            thr = 0.5 * (xs[idx[j] - 1] + xs[idx[j]])
+            best = (float(sse[j]), int(f), float(thr))
+    if best[1] < 0:
+        return node
+    f, thr = best[1], best[2]
+    mask = X[:, f] <= thr
+    if mask.all() or not mask.any():
+        return node
+    grow = (rng, max_depth, min_leaf, max_features)
+    left = _grow(X[mask], y[mask], depth + 1, nodes, *grow)
+    right = _grow(X[~mask], y[~mask], depth + 1, nodes, *grow)
+    nodes[node][:4] = [f, thr, left, right]
+    return node
 
 
 class RandomForestRegressor:
@@ -129,7 +88,7 @@ class RandomForestRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.trees: list[_Tree] = []
+        self.value: np.ndarray | None = None  # (n_trees, max_nodes) leaf means
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -138,20 +97,39 @@ class RandomForestRegressor:
             raise ValueError(f"bad shapes X={X.shape} y={y.shape}")
         rng = np.random.default_rng(self.seed)
         n = y.size
-        self.trees = []
+        trees = []
         for _ in range(self.n_estimators):
             idx = rng.integers(0, n, n)
-            t = _Tree(self.max_depth, self.min_samples_leaf, rng, self.max_features)
-            t.fit(X[idx], y[idx])
-            t._freeze()
-            self.trees.append(t)
+            nodes: list[list] = []
+            _grow(X[idx], y[idx], 0, nodes, rng, self.max_depth,
+                  self.min_samples_leaf, self.max_features)
+            trees.append(nodes)
+        # pad each tree to the longest with unreachable leaves
+        shape = (len(trees), max(map(len, trees)))
+        self.feature = np.zeros(shape, dtype=np.intp)
+        self.threshold = np.full(shape, np.inf)
+        self.left = np.arange(shape[0] * shape[1]).reshape(shape)
+        self.right = self.left.copy()
+        self.value = np.zeros(shape)
+        for t, nodes in enumerate(trees):
+            f, thr, left, right, value = map(np.array, zip(*nodes))
+            k, root = len(nodes), t * shape[1]
+            self.feature[t, :k] = f
+            self.threshold[t, :k] = thr
+            self.left[t, :k] = left + root
+            self.right[t, :k] = right + root
+            self.value[t, :k] = value
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if not self.trees:
+        if self.value is None:
             raise RuntimeError("predict() before fit()")
-        acc = np.zeros(X.shape[0])
-        for t in self.trees:
-            acc += t.predict(X)
-        return acc / len(self.trees)
+        n_trees, max_nodes = self.value.shape
+        rows = np.arange(X.shape[0])
+        node = np.repeat(np.arange(n_trees)[:, None] * max_nodes, rows.size, axis=1)
+        for _ in range(self.max_depth):
+            go_left = X[rows, np.take(self.feature, node)] <= np.take(self.threshold, node)
+            node = np.where(go_left, np.take(self.left, node), np.take(self.right, node))
+        # a running sum in tree order: a pairwise mean rounds differently
+        return np.add.accumulate(np.take(self.value, node), axis=0)[-1] / n_trees

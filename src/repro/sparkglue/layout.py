@@ -50,11 +50,19 @@ class SparkFloodLayout:
 
 
 def learn_boundaries(df: DataFrame, layout: Layout, dim_cols: list[str],
-                     sample_rows: int = 50_000, seed: int = 0) -> SparkFloodLayout:
-    """Equi-mass (flattened) or equal-width column boundaries per grid dim."""
+                     sample_rows: int = 50_000) -> SparkFloodLayout:
+    """Equi-mass (flattened) or equal-width column boundaries per grid dim.
+
+    They are learned from every row when there are at most ``sample_rows``;
+    otherwise from the about ``sample_rows`` rows whose hash of the dim
+    columns, modulo the row count, is below ``sample_rows``. Either way the
+    sample depends only on the rows, so every call learns the same edges.
+    """
     n = df.count()
-    frac = min(1.0, sample_rows / max(n, 1))
-    sample = df.select(*dim_cols).sample(frac, seed=seed).toPandas()
+    rows = df.select(*dim_cols)
+    if n > sample_rows:
+        rows = rows.where(F.pmod(F.xxhash64(*dim_cols), F.lit(n)) < sample_rows)
+    sample = rows.toPandas()
     boundaries: dict[int, np.ndarray] = {}
     for dim, c in zip(layout.grid_dims, layout.cols):
         col = sample[dim_cols[dim]].to_numpy(dtype=np.float64)

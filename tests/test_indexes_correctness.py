@@ -147,7 +147,7 @@ def test_rstar_prunes_on_many_seeds(with_workload):
 
 
 _EDGE_RANGES = [(np.nan, np.nan), (np.inf, np.inf), (-np.inf, -np.inf), (np.inf, -np.inf),
-                (np.nan, np.inf), (-np.inf, np.nan), (0.5, np.inf)]
+                (np.nan, np.inf), (-np.inf, np.nan), (0.5, np.inf), (0.6, 0.2)]
 
 
 @pytest.mark.parametrize("with_inf", [False, True])

@@ -65,3 +65,53 @@ def test_shape_validation():
         m.fit(np.zeros((5, 2)), np.zeros(4))
     with pytest.raises(RuntimeError):
         RandomForestRegressor().predict(np.zeros((1, 2)))
+
+
+def _reference_predict(m, X):
+    """One row and one tree at a time: follow the splits until a node is
+    its own child, then add the trees' leaves in tree order."""
+    feature, threshold = m.feature.ravel(), m.threshold.ravel()
+    left, right, value = m.left.ravel(), m.right.ravel(), m.value.ravel()
+    n_trees, max_nodes = m.value.shape
+    out = []
+    for x in np.atleast_2d(X):
+        acc = 0.0
+        for t in range(n_trees):
+            node = t * max_nodes
+            while left[node] != node:
+                node = left[node] if x[feature[node]] <= threshold[node] else right[node]
+            acc += value[node]
+        out.append(acc / n_trees)
+    return np.array(out)
+
+
+def test_packed_predict_equals_per_row_walk():
+    rng = np.random.default_rng(10)
+    X = rng.random((300, 3))
+    y = np.where(X[:, 0] > 0.4, 3.0, 1.0) * X[:, 1] + rng.normal(0, 0.1, 300)
+    m = RandomForestRegressor(n_estimators=7, max_depth=6, seed=11).fit(X, y)
+    # the trees differ in size, so all but the longest are padded
+    own = np.arange(m.left.size).reshape(m.left.shape)
+    assert np.unique((m.left != own).sum(axis=1)).size > 1
+    Xt = rng.random((60, 3)) * 1.4 - 0.2
+    Xt[::4, 0] = np.nan
+    Xt[1::4, 1] = np.inf
+    Xt[2::4, 2] = -np.inf
+    Xt[3] = np.nan
+    Xt[7] = np.inf
+    Xt[11] = -np.inf
+    assert np.array_equal(m.predict(Xt), _reference_predict(m, Xt))
+    assert np.array_equal(m.predict(X), _reference_predict(m, X))
+
+
+def test_depth_zero_forest_averages_bootstrap_means():
+    rng = np.random.default_rng(12)
+    X, y = rng.random((40, 2)), rng.random(40)
+    m = RandomForestRegressor(n_estimators=4, max_depth=0, seed=13).fit(X, y)
+    assert m.value.shape == (4, 1)
+    # no split draws: each tree is the mean of its bootstrap sample
+    boot = np.random.default_rng(13)
+    means = [y[boot.integers(0, 40, 40)].mean() for _ in range(4)]
+    Xt = np.vstack([X[:5], [[np.nan, np.inf]]])
+    assert np.array_equal(m.predict(Xt), np.full(6, sum(means) / 4))
+    assert np.array_equal(m.predict(Xt), _reference_predict(m, Xt))

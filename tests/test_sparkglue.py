@@ -226,6 +226,17 @@ def test_flatten_false_uses_equal_width(spark, li_pdf):
     assert widths.std() / widths.mean() < 0.1
 
 
+def test_learn_boundaries_repeat(spark, li_pdf):
+    """A sample smaller than the table holds the same rows on every call,
+    so two calls learn the same edges."""
+    df = spark.createDataFrame(li_pdf)
+    a, b = (learn_boundaries(df, LAYOUT, DIM_COLS, sample_rows=20_000).boundaries
+            for _ in range(2))
+    assert a.keys() == b.keys()
+    for dim in a:
+        np.testing.assert_array_equal(a[dim], b[dim])
+
+
 @pytest.mark.parametrize("flatten", [True, False])
 def test_spark_and_numpy_assign_every_row_the_same_cell(spark, li_pdf, flatten):
     """Learned from the whole table, Spark's ``__flood_cell`` of every row
