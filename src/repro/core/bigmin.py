@@ -32,7 +32,10 @@ def interleave(coords: np.ndarray, bits: int) -> np.ndarray:
 
 
 def quantize(data: np.ndarray, mins: np.ndarray, maxs: np.ndarray, bits: int) -> np.ndarray:
-    """Scale float columns to [0, 2^bits) integer grid coordinates."""
+    """Scale float columns to [0, 2^bits) integer grid coordinates.
+
+    ``mins`` and ``maxs`` must be finite; values outside them, ±inf
+    included, clip to the first or last coordinate."""
     span = np.maximum(maxs - mins, 1e-300)
     q = ((data - mins) / span) * (2**bits - 1)
     return np.clip(np.floor(q + 0.5), 0, 2**bits - 1).astype(np.uint64)

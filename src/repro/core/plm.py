@@ -48,7 +48,11 @@ class PLM:
             s_y = 0.0  # sum of (y_k - y0)
             while j < m:
                 dx = uniq[j] - x0
-                cand = min(slope, (first[j] - y0) / dx) if dx > 0 else slope
+                # a secant over a gap too small to divide by overflows to
+                # inf, which is steeper than any slope: min keeps the right one
+                with np.errstate(over="ignore"):
+                    secant = (first[j] - y0) / dx if dx > 0 else np.inf
+                cand = min(slope, secant)
                 cand_eff = 0.0 if not np.isfinite(cand) else cand
                 n_pts = j - i + 1
                 mean_err = (s_y + (first[j] - y0) - cand_eff * (s_x + dx)) / n_pts
@@ -82,7 +86,10 @@ class PLM:
         if v > self.values[-1]:
             return self.n
         s = int(np.searchsorted(self.seg_keys, v, side="right")) - 1
-        p = self.seg_y0[s] + self.seg_slope[s] * (v - self.seg_x0[s])
+        # a steep segment far past its last point may overflow to +inf,
+        # which the clip below maps to the last position
+        with np.errstate(over="ignore"):
+            p = self.seg_y0[s] + self.seg_slope[s] * (v - self.seg_x0[s])
         return int(np.clip(p, 0, self.n - 1))
 
     def lookup_left(self, v: float) -> int:

@@ -34,13 +34,22 @@ class RMI:
         self.lo = float(finite[0]) if finite.size else 0.0
         self.hi = float(finite[-1]) if finite.size else 0.0
         span = self.hi - self.lo
-        # Root: linear spline value -> expert id over [lo, hi].
-        self._root_scale = (self.n_experts / span) if span > 0 else 0.0
+        # Root: linear spline value -> expert id over [lo, hi]. A span that
+        # overflows, or one so narrow that n_experts / span overflows, gets
+        # one expert: the spline would multiply inf by 0.
+        if not (0 < span < np.inf and self.n_experts / span < np.inf):
+            self.n_experts = 1
+        self._root_scale = self.n_experts / span if self.n_experts > 1 else 0.0
         self._fit_leaves()
 
     def _route(self, v: np.ndarray) -> np.ndarray:
+        if self.n_experts == 1:
+            return np.zeros(np.shape(v), dtype=np.int64)
+        # clamping v first keeps the product near [0, n_experts]: a value far
+        # outside a narrow span would overflow the cast to int64
+        v = np.clip(v, self.lo, self.hi)
         e = ((v - self.lo) * self._root_scale).astype(np.int64)
-        return np.clip(e, 0, self.n_experts - 1)
+        return np.minimum(e, self.n_experts - 1)
 
     def _fit_leaves(self) -> None:
         keys = self.keys[self._first:self._end]

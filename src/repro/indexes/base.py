@@ -10,6 +10,10 @@ Every index (Flood and the seven §7.2 baselines) is:
   hand them to the store's scan (timed as *scan time* ST), and return a
   :class:`QueryResult`.
 
+An empty ``(0, d)`` table is handled here, once for every index: build
+stores it without laying it out, every query scans no range, and its
+metadata size is 0.
+
 Table 2's columns fall directly out of this API: SO = n_scanned /
 n_matched, TPS = ST / n_scanned, TT = IT + ST.
 """
@@ -43,7 +47,10 @@ class BaseIndex:
             raise ValueError("data must be (n, d)")
         self.n, self.d = data.shape
         t0 = time.perf_counter()
-        self._build(data, workload or [])
+        if self.n:
+            self._build(data, workload or [])
+        else:
+            self.store = ColumnStore(data)
         self.build_time = time.perf_counter() - t0
         return self
 
@@ -51,19 +58,22 @@ class BaseIndex:
         raise NotImplementedError
 
     # -- query ---------------------------------------------------------------
-    def _check(self, q: Query) -> None:
-        """Reject a query before build() or with the wrong dimension count."""
+    def query(self, q: Query) -> QueryResult:
         if self.store is None:
             raise RuntimeError("query() before build()")
         if q.d != self.d:
             raise ValueError(f"query dims {q.d} != index dims {self.d}")
+        # an empty table has no layout to ask: the generic path scans nothing
+        return self._query(q) if self.n else BaseIndex._query(self, q)
 
-    def query(self, q: Query) -> QueryResult:
-        self._check(q)
+    def _query(self, q: Query) -> QueryResult:
+        """Answer ``q`` from :meth:`_ranges` (Flood overrides this to time
+        its projection and refinement apart)."""
         t0 = time.perf_counter()
         lo, hi = q.ranges.T
-        # an empty (inverted or NaN) range on any dimension matches no row
-        ranges, n_cells = self._ranges(q) if (lo <= hi).all() else ([], 0)
+        # an empty table, or an empty (inverted or NaN) range on any
+        # dimension, matches no row
+        ranges, n_cells = self._ranges(q) if self.n and (lo <= hi).all() else ([], 0)
         r = np.array(ranges, dtype=np.int64).reshape(-1, 3)
         index_time = time.perf_counter() - t0
         stats = self.store.scan(r[:, 0], r[:, 1], r[:, 2].astype(bool), q)
@@ -80,13 +90,31 @@ class BaseIndex:
 
     def _ranges(self, q: Query) -> tuple[list[tuple[int, int, bool]], int]:
         """Physical (start, end, exact) ranges to scan, plus visited cell
-        count; called only when every dimension's range is nonempty."""
+        count; called only on a nonempty table, when every dimension's
+        range is nonempty."""
         raise NotImplementedError
 
     # -- introspection -------------------------------------------------------
     def index_size_bytes(self) -> int:
-        """Metadata footprint (excludes the data itself) for Fig 8-style totals."""
+        """Metadata footprint (excludes the data itself) for Fig 8-style
+        totals; 0 for an empty table, which has no layout."""
+        return self._index_size_bytes() if self.n else 0
+
+    def _index_size_bytes(self) -> int:
         return 0
+
+
+def finite_extent(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dimension min and max of the finite values of ``data`` (n, d),
+    both 0 on a dimension that has none. Split points and quantization
+    scales come from these, so that ±inf values land in the edge boxes
+    instead of making a split point NaN."""
+    finite = np.isfinite(data)
+    lo = np.min(data, axis=0, initial=np.inf, where=finite)
+    hi = np.max(data, axis=0, initial=-np.inf, where=finite)
+    none = ~finite.any(axis=0)
+    lo[none] = hi[none] = 0.0
+    return lo, hi
 
 
 def selectivity_order(data: np.ndarray, workload: list[Query]) -> np.ndarray:

@@ -46,6 +46,6 @@ class ClusteredIndex(BaseIndex):
         exact = q.filtered_dims.size == 1
         return [(s, e, exact)], 1
 
-    def index_size_bytes(self) -> int:
+    def _index_size_bytes(self) -> int:
         r = self.rmi
-        return int(r._slope.nbytes + r._icept.nbytes + r._err.nbytes) if r else 0
+        return int(r._slope.nbytes + r._icept.nbytes + r._err.nbytes)

@@ -261,10 +261,9 @@ class FloodIndex(BaseIndex):
         return ids
 
     # -- query ---------------------------------------------------------------
-    def query(self, q: Query) -> QueryResult:
-        """Overrides BaseIndex.query to time projection/refinement separately
+    def _query(self, q: Query) -> QueryResult:
+        """Overrides BaseIndex._query to time projection/refinement separately
         (the cost model's w_p / w_r targets, §4.1.1)."""
-        self._check(q)
         t0 = time.perf_counter()
         cells, _, interior_ok = project(self.layout, self.edges, self._nan_free, q)
         t_proj = time.perf_counter() - t0
@@ -322,10 +321,8 @@ class FloodIndex(BaseIndex):
         return starts, ends, exact
 
     # -- introspection -------------------------------------------------------
-    def index_size_bytes(self) -> int:
+    def _index_size_bytes(self) -> int:
         """Exact metadata size: the cell table, the column edges, the row
         keys and the distinct sort keys."""
-        if self.key is None:
-            return 0
         return int(self.cell_starts.nbytes + self.key.nbytes + self.sort_keys.nbytes
                    + sum(e.nbytes for e in self.edges))

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.columnstore.store import ColumnStore
 from repro.core.query import Query
-from repro.indexes.base import BaseIndex
+from repro.indexes.base import BaseIndex, finite_extent
 
 #: buckets stop splitting once there are this many
 MAX_BUCKETS = 200_000
@@ -53,8 +53,13 @@ class GridFile(BaseIndex):
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
         d = self.d
+        # boxes are half-open: the top edge is the next float above the max
         lo = data.min(axis=0)
-        hi = data.max(axis=0) + 1e-9
+        hi = np.nextafter(data.max(axis=0), np.inf)
+        # midpoints split the finite values: box edges are clamped to
+        # them first, so ±inf rows stay in the edge buckets
+        flo, fhi = finite_extent(data)
+        self._finite = (flo, np.nextafter(fhi, np.inf))
         self.boundaries: list[list[float]] = [[] for _ in range(d)]
         root_bucket = _Bucket(lo, hi)
         self.tree: _Split | _Bucket = root_bucket
@@ -117,9 +122,11 @@ class GridFile(BaseIndex):
                 break
         if dim is None:
             # (2) new grid column at the midpoint of the round-robin dim
+            flo, fhi = self._finite
+            mids = (np.clip(b.lo, flo, fhi) + np.clip(b.hi, flo, fhi)) / 2
             for probe in range(d):
                 k = (b.cycle + probe) % d
-                mid = (b.lo[k] + b.hi[k]) / 2
+                mid = mids[k]
                 if b.lo[k] < mid < b.hi[k]:
                     dim, val = k, mid
                     self.boundaries[k].append(mid)
@@ -155,6 +162,5 @@ class GridFile(BaseIndex):
             ranges.append((s, e, exact))
         return ranges, n_buckets
 
-    def index_size_bytes(self) -> int:
-        nb = len(getattr(self, "buckets", []))
-        return int(nb * 16 * self.d + sum(len(x) * 8 for x in self.boundaries))
+    def _index_size_bytes(self) -> int:
+        return int(len(self.buckets) * 16 * self.d + sum(len(x) * 8 for x in self.boundaries))

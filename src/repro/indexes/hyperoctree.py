@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.columnstore.store import ColumnStore
 from repro.core.query import Query
-from repro.indexes.base import BaseIndex
+from repro.indexes.base import BaseIndex, finite_extent
 
 #: a node this deep is a leaf, however many points it holds
 MAX_DEPTH = 24
@@ -38,8 +38,13 @@ class Hyperoctree(BaseIndex):
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
         idx = np.arange(self.n)
+        # boxes are half-open: the top edge is the next float above the max
         lo = data.min(axis=0)
-        hi = data.max(axis=0) + 1e-9
+        hi = np.nextafter(data.max(axis=0), np.inf)
+        # midpoints split the finite values: box edges are clamped to
+        # them first, so ±inf rows stay in the edge octants
+        flo, fhi = finite_extent(data)
+        self._finite = (flo, np.nextafter(fhi, np.inf))
         self._perm_parts: list[np.ndarray] = []
         self._data_ref = data
         self.n_nodes = 0
@@ -55,7 +60,8 @@ class Hyperoctree(BaseIndex):
         if idx.size <= self.page_size or depth >= MAX_DEPTH:
             self._perm_parts.append(idx)
             return node
-        mid = (lo + hi) / 2
+        flo, fhi = self._finite
+        mid = (np.clip(lo, flo, fhi) + np.clip(hi, flo, fhi)) / 2
         pts = self._data_ref[idx]
         # hyperoctant code: bit j set iff point >= mid in dim j
         codes = ((pts >= mid) << np.arange(self.d)).sum(axis=1)
@@ -93,6 +99,6 @@ class Hyperoctree(BaseIndex):
         ranges = [(nd.start, nd.end, False) for nd in leaves if nd.end > nd.start]
         return ranges, n_pages
 
-    def index_size_bytes(self) -> int:
+    def _index_size_bytes(self) -> int:
         # start/end/lo/hi per node: 2 ints + 2 d-vectors of float64
         return int(self.n_nodes * (16 + 16 * self.d))

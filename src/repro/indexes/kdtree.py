@@ -94,5 +94,5 @@ class KDTree(BaseIndex):
         ranges.sort()
         return ranges, n_pages
 
-    def index_size_bytes(self) -> int:
+    def _index_size_bytes(self) -> int:
         return int(self.n_nodes * 40)  # 2 ptrs + dim + val + range

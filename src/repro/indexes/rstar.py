@@ -99,5 +99,5 @@ class RStarTree(BaseIndex):
         ranges = [(int(rng[p, 0]), int(rng[p, 1]), False) for p in hits]
         return ranges, int(hits.size)
 
-    def index_size_bytes(self) -> int:
+    def _index_size_bytes(self) -> int:
         return int(sum(lo.nbytes + hi.nbytes + rng.nbytes for lo, hi, rng in self.levels))

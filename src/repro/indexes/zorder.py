@@ -14,7 +14,7 @@ import numpy as np
 from repro.columnstore.store import ColumnStore
 from repro.core.bigmin import interleave, quantize
 from repro.core.query import Query
-from repro.indexes.base import BaseIndex, selectivity_order
+from repro.indexes.base import BaseIndex, finite_extent, selectivity_order
 
 
 class ZOrderIndex(BaseIndex):
@@ -31,8 +31,8 @@ class ZOrderIndex(BaseIndex):
         # significant) interleave slot per Appendix A.
         sel = selectivity_order(data, workload) if workload else np.arange(d)
         self.dim_order = np.asarray(sel[::-1])  # most selective last = LSB
-        self.mins = data.min(axis=0)
-        self.maxs = data.max(axis=0)
+        # the grid spans the finite values; ±inf quantize to its edges
+        self.mins, self.maxs = finite_extent(data)
         coords = quantize(data, self.mins, self.maxs, self.bits)
         self.zvals_unsorted = interleave(coords[:, self.dim_order], self.bits)
         order = np.argsort(self.zvals_unsorted, kind="stable")
@@ -84,5 +84,5 @@ class ZOrderIndex(BaseIndex):
                 ranges.append((rs, re, False))
         return ranges, n_pages
 
-    def index_size_bytes(self) -> int:
+    def _index_size_bytes(self) -> int:
         return int(self.zvals.nbytes + self.page_min.nbytes + self.page_max.nbytes)

@@ -7,9 +7,16 @@ implements the estimator itself: variance-reduction CART trees grown on
 bootstrap samples with per-split feature subsampling, averaged at predict
 time.
 
-Splits are found by an O(n log n) exhaustive scan per feature (sort once,
-prefix sums of y and y^2 give the variance of every threshold in one
-pass), which is the textbook regression-tree criterion.
+Each node finds its split with one search over all of its sampled
+features at once: the ``(k, n)`` block of those features is sorted row by
+row (stable), prefix sums of y and y^2 along each row give the
+within-child squared error of every threshold, and one ``argmin`` over
+the ``(k, n - 1)`` matrix picks the first feature in draw order, then the
+first position, among the least errors. That is the textbook
+regression-tree criterion, with ties broken as a loop over the features
+with a strict ``<`` would break them. A split lies between two different
+values and leaves ``min_samples_leaf`` rows on each side. A node whose
+target holds a NaN or an infinity has only NaN errors and stays a leaf.
 
 The fitted forest is one set of ``(n_trees, max_nodes)`` node arrays,
 each tree padded to the longest; ``left`` and ``right`` hold a child's
@@ -23,50 +30,50 @@ from __future__ import annotations
 import numpy as np
 
 
-def _grow(X: np.ndarray, y: np.ndarray, depth: int, nodes: list[list],
+def _grow(XT: np.ndarray, y: np.ndarray, depth: int, nodes: list[list],
           rng: np.random.Generator, max_depth: int, min_leaf: int,
           max_features: float) -> int:
     """Grow one subtree depth first into ``nodes`` (rows of feature,
-    threshold, left, right, value); returns the index of its root."""
+    threshold, left, right, value) from the node's samples ``XT`` (one
+    row per feature) and targets ``y``; returns the index of its root."""
     node = len(nodes)
-    nodes.append([0, np.inf, node, node, float(y.mean())])  # a leaf
     n = y.size
-    if depth >= max_depth or n < 2 * min_leaf or np.ptp(y) == 0:
+    # y.mean(), summed and divided as it does, without its Python overhead
+    nodes.append([0, np.inf, node, node, float(np.add.reduce(y)) / n])
+    lo = max(1, min_leaf)  # the fewest rows a child may have
+    if depth >= max_depth or n < 2 * lo or y.max() - y.min() == 0:
         return node
-    n_feat = X.shape[1]
+    n_feat = XT.shape[0]
     k = max(1, int(round(max_features * n_feat)))
     feats = rng.choice(n_feat, size=k, replace=False)
-    best = (np.inf, -1, 0.0)  # (weighted sse, feature, threshold)
-    for f in feats:
-        order = np.argsort(X[:, f], kind="stable")
-        xs, ys = X[order, f], y[order]
-        # candidate split after position i (1..n-1) where value changes
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        idx = np.arange(1, n)
-        valid = xs[1:] != xs[:-1]
-        idx = idx[valid]
-        idx = idx[(idx >= min_leaf) & (idx <= n - min_leaf)]
-        if idx.size == 0:
-            continue
-        nl = idx.astype(np.float64)
-        nr = n - nl
-        sl, sr = csum[idx - 1], csum[-1] - csum[idx - 1]
-        ql, qr = csq[idx - 1], csq[-1] - csq[idx - 1]
-        sse = (ql - sl * sl / nl) + (qr - sr * sr / nr)
-        j = int(np.argmin(sse))
-        if sse[j] < best[0]:
-            thr = 0.5 * (xs[idx[j] - 1] + xs[idx[j]])
-            best = (float(sse[j]), int(f), float(thr))
-    if best[1] < 0:
+    # row c of xs and ys: feature feats[c] and y, in that feature's order
+    sub = XT.take(feats, axis=0)
+    order = sub.argsort(axis=1, kind="stable")
+    xs = sub.take(order + np.arange(0, k * n, n)[:, None])
+    ys = y.take(order)
+    csum = np.add.accumulate(ys, axis=1)
+    csq = np.add.accumulate(ys * ys, axis=1)
+    # column i - lo splits after the i-th smallest value, lo <= i <= n - lo
+    nl = np.arange(lo, n - lo + 1, dtype=np.float64)
+    nr = n - nl
+    sl, ql = csum[:, lo - 1:n - lo], csq[:, lo - 1:n - lo]
+    sr, qr = csum[:, -1:] - sl, csq[:, -1:] - ql
+    sse = (ql - sl * sl / nl) + (qr - sr * sr / nr)
+    sse[xs[:, lo:n - lo + 1] == xs[:, lo - 1:n - lo]] = np.inf  # inside a tie
+    j = int(np.argmin(sse))  # first feature in draw order, then position
+    # a NaN error: the node's target holds a NaN or an infinity
+    if not sse.flat[j] < np.inf:
         return node
-    f, thr = best[1], best[2]
-    mask = X[:, f] <= thr
-    if mask.all() or not mask.any():
+    c, i = divmod(j, sse.shape[1])
+    i += lo
+    f, thr = int(feats[c]), float(0.5 * (xs[c, i - 1] + xs[c, i]))
+    mask = XT[f] <= thr
+    if not 0 < np.count_nonzero(mask) < n:  # a NaN or rounded-up threshold
         return node
     grow = (rng, max_depth, min_leaf, max_features)
-    left = _grow(X[mask], y[mask], depth + 1, nodes, *grow)
-    right = _grow(X[~mask], y[~mask], depth + 1, nodes, *grow)
+    left = _grow(XT.compress(mask, axis=1), y[mask], depth + 1, nodes, *grow)
+    mask = ~mask
+    right = _grow(XT.compress(mask, axis=1), y[mask], depth + 1, nodes, *grow)
     nodes[node][:4] = [f, thr, left, right]
     return node
 
@@ -97,13 +104,17 @@ class RandomForestRegressor:
             raise ValueError(f"bad shapes X={X.shape} y={y.shape}")
         rng = np.random.default_rng(self.seed)
         n = y.size
+        XT = np.ascontiguousarray(X.T)
         trees = []
-        for _ in range(self.n_estimators):
-            idx = rng.integers(0, n, n)
-            nodes: list[list] = []
-            _grow(X[idx], y[idx], 0, nodes, rng, self.max_depth,
-                  self.min_samples_leaf, self.max_features)
-            trees.append(nodes)
+        # non-finite data gives NaN thresholds and errors, which rule out
+        # their split
+        with np.errstate(invalid="ignore", over="ignore"):
+            for _ in range(self.n_estimators):
+                idx = rng.integers(0, n, n)
+                nodes: list[list] = []
+                _grow(XT.take(idx, axis=1), y[idx], 0, nodes, rng, self.max_depth,
+                      self.min_samples_leaf, self.max_features)
+                trees.append(nodes)
         # pad each tree to the longest with unreachable leaves
         shape = (len(trees), max(map(len, trees)))
         self.feature = np.zeros(shape, dtype=np.intp)

@@ -177,3 +177,72 @@ def test_open_and_nan_ranges_on_every_index(with_inf):
     if with_inf:
         for bounds, want in (((np.inf, np.inf), 5), ((-np.inf, -np.inf), 4)):
             assert query_from_dict(D, {1: bounds}).mask(data).sum() == want
+
+
+def _inf_data():
+    """Uniform data whose dim 1 holds 300 +inf and 300 -inf values."""
+    rng = np.random.default_rng(6)
+    data = rng.random((N, D)) * 100
+    rows = rng.choice(N, 600, replace=False)
+    data[rows[:300], 1] = np.inf
+    data[rows[300:], 1] = -np.inf
+    return data
+
+
+@pytest.mark.parametrize("name", ["grid_file", "hyperoctree", "zorder", "ubtree"])
+def test_infinite_values_leave_a_dimension_splittable(name):
+    """Split points and Z-order coordinates come from the finite values,
+    so a tight filter on a dimension holding ±inf still prunes, and the
+    infinite rows are still found."""
+    data = _inf_data()
+    idx = _factories()[name]().build(data)
+    q = query_from_dict(D, {1: (10.0, 20.0)})
+    r = idx.query(q)
+    assert r.n_matched == q.mask(data).sum()
+    assert r.n_scanned < 2 * N // 3, r.n_scanned  # all N before the fix
+    for bounds in ((np.inf, np.inf), (-np.inf, -np.inf), (50.0, np.inf), (-np.inf, 5.0)):
+        for agg in ("count", "sum"):
+            q = query_from_dict(D, {1: bounds, 0: (0.0, 70.0)}, agg=agg, agg_dim=2)
+            m = q.mask(data)
+            want = m.sum() if agg == "count" else data[m, 2].sum()
+            r = idx.query(q)
+            assert r.n_matched == m.sum(), bounds
+            assert r.value == pytest.approx(want, rel=1e-12), bounds
+
+
+def test_grid_file_adds_columns_on_an_infinite_dimension():
+    grid = GridFile(page_size=64).build(_inf_data())
+    assert grid.boundaries[1]
+    assert np.isfinite(grid.boundaries[1]).all()
+
+
+@pytest.mark.parametrize("name", list(_factories()) + ["flood_default_layout"])
+def test_empty_table_answers_zero(name):
+    """Every index builds a (0, d) table, with or without a workload,
+    answers COUNT and SUM with no rows, as ``Query.mask`` does, and has
+    no metadata."""
+    data = np.empty((0, D))
+    workload = _queries(np.random.default_rng(7).random((50, D)), 5, seed=8)
+    for wl in (None, workload):
+        idx = FloodIndex() if name == "flood_default_layout" else _factories()[name]()
+        idx.build(data, wl)
+        for bounds in ({}, {0: (0.2, 0.7)}, {1: (0.6, 0.2)}, {2: (np.nan, 1.0)},
+                       {0: (-np.inf, np.inf), 3: (np.inf, np.inf)}):
+            for agg in ("count", "sum"):
+                q = query_from_dict(D, bounds, agg=agg, agg_dim=1)
+                r = idx.query(q)
+                assert q.mask(data).sum() == 0
+                assert (r.value, r.n_matched, r.n_scanned) == (0, 0, 0), (bounds, agg)
+        assert idx.index_size_bytes() == 0
+
+
+@pytest.mark.parametrize("name", list(_factories()))
+def test_rows_at_the_max_of_large_values_are_found(name):
+    """Half-open boxes hold each dimension's largest value even where a
+    fixed epsilon above it would round away (values near 1e9)."""
+    data = np.random.default_rng(9).random((N, D)) * 1e9 + 1e9
+    idx = _factories()[name]().build(data)
+    for dim in range(D):
+        top = data[:, dim].max()
+        q = query_from_dict(D, {dim: (top, top)})
+        assert idx.query(q).n_matched == q.mask(data).sum() == 1, dim
