@@ -1,13 +1,17 @@
 """Micro-benchmarks for Flood's learned components.
 
 Covers the §7.8 comparison (per-cell CDF model lookup: PLM vs binary
-search) and the cost of flattening/calibration — the knobs a reader
-would tune when porting Flood.
+search), the cost of flattening/calibration — the knobs a reader would
+tune when porting Flood — and the column-store scan over R ranges of L
+rows each, which reads one slice per range and column: many short ranges
+cost more per row than a few long ones.
 """
 import numpy as np
 import pytest
 
+from repro.columnstore.store import ColumnStore
 from repro.core.plm import PLM
+from repro.core.query import query_from_dict
 from repro.harness.bench import calibration_dataset, default_cost_model
 from repro.indexes.flood import column_edges, column_of
 
@@ -47,6 +51,31 @@ def test_bench_column_of(benchmark):
     probes = rng.lognormal(0, 2, 10_000)
     out = benchmark(lambda: column_of(edges, probes))
     assert out.shape == (10_000,)
+
+
+@pytest.fixture(scope="module")
+def scan_store():
+    rng = np.random.default_rng(3)
+    data = rng.random((1 << 20, 2))
+    return data, ColumnStore(data)
+
+
+@pytest.mark.benchmark(group="scan")
+@pytest.mark.parametrize("length", [8, 512, 4096])
+@pytest.mark.parametrize("n_ranges", [2, 60, 300])
+def test_bench_scan(benchmark, scan_store, n_ranges, length):
+    """COUNT over ``n_ranges`` inexact ranges of ``length`` rows each,
+    spread over a 1M-row store, with one filtered column."""
+    data, store = scan_store
+    starts = np.linspace(0, data.shape[0] - length, n_ranges).astype(np.int64)
+    ends = starts + length
+    exact = np.zeros(n_ranges, dtype=bool)
+    q = query_from_dict(2, {0: (0.25, 0.75)})
+    benchmark.name = f"scan R={n_ranges} L={length}"
+    out = benchmark(lambda: store.scan(starts, ends, exact, q))
+    rows = np.concatenate([data[s:e, 0] for s, e in zip(starts, ends)])
+    assert out.n_matched == np.count_nonzero((rows >= 0.25) & (rows <= 0.75))
+    assert out.n_scanned == n_ranges * length
 
 
 @pytest.mark.benchmark(group="calibration")

@@ -35,10 +35,12 @@ def quantize(data: np.ndarray, mins: np.ndarray, maxs: np.ndarray, bits: int) ->
     """Scale float columns to [0, 2^bits) integer grid coordinates.
 
     ``mins`` and ``maxs`` must be finite; values outside them, ±inf
-    included, clip to the first or last coordinate."""
+    included, clip to the first or last coordinate, and NaN takes the last
+    (as in Flood, whose last column holds NaN)."""
     span = np.maximum(maxs - mins, 1e-300)
     q = ((data - mins) / span) * (2**bits - 1)
-    return np.clip(np.floor(q + 0.5), 0, 2**bits - 1).astype(np.uint64)
+    # fmin maps NaN to the top coordinate before the cast
+    return np.fmax(np.fmin(np.floor(q + 0.5), 2**bits - 1), 0).astype(np.uint64)
 
 
 def bigmin(zcode: int, zmin: int, zmax: int, d: int, bits: int) -> int:

@@ -12,7 +12,12 @@ parent routes to it (Kraska et al. 2018 [23]).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+#: leaves fit keys scaled below 2**_SAFE_EXP, whose squared sums cannot overflow
+_SAFE_EXP = 400
 
 
 class RMI:
@@ -67,18 +72,27 @@ class RMI:
                 self._icept[e] = float(s + self._first)
                 continue
             x, y = keys[s:t], ranks[s:t]
-            xm, ym = x.mean(), y.mean()
-            var = ((x - xm) ** 2).sum()
-            slope = ((x - xm) * (y - ym)).sum() / var if var > 0 else 0.0
-            self._slope[e] = slope
+            # keys near ±1e308 would overflow the regression's sums, so it
+            # fits keys scaled by a power of two below 2**400 in magnitude.
+            # The scaling is exact, so a leaf of smaller keys is unchanged.
+            top = math.frexp(max(-x[0], x[-1]))[1]
+            scale = math.ldexp(1.0, min(0, _SAFE_EXP - top))
+            xs = x * scale
+            xm, ym = xs.mean(), y.mean()
+            var = ((xs - xm) ** 2).sum()
+            slope = ((xs - xm) * (y - ym)).sum() / var if var > 0 else 0.0
+            self._slope[e] = slope * scale
             self._icept[e] = ym - slope * xm
-            pred = np.clip(slope * x + self._icept[e], 0, self.n - 1)
+            pred = np.clip(self._slope[e] * x + self._icept[e], 0, self.n - 1)
             self._err[e] = int(np.ceil(np.abs(pred - y).max()))
 
     def predict(self, v: np.ndarray | float) -> np.ndarray:
         """Predicted (possibly fractional) rank of each value; clipped to [0, n-1]."""
         v = np.atleast_1d(np.asarray(v, dtype=np.float64))
         e = self._route(v)
+        # a value far outside the keys would overflow the product; beyond
+        # them the prediction is the nearest key's
+        v = np.clip(v, self.lo, self.hi)
         return np.clip(self._slope[e] * v + self._icept[e], 0, self.n - 1)
 
     def max_error(self, v: np.ndarray | float) -> np.ndarray:

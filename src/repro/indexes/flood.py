@@ -10,14 +10,15 @@ the grid — exactly Fig 2.
 
 Query flow (§3.2): *projection* (:func:`project`, which ``sparkglue``
 shares) intersects the query hyper-rectangle with the grid to find the
-visited cells; *refinement* turns each visited cell
-into the physical range of its rows whose sort-dim value lies in the
-query's range. Rows are stored sorted by the int64 key
+visited cells, finding each filtered dim's columns with ``bisect`` on a
+Python list of its edges (:func:`edge_list`); *refinement* turns each
+visited cell into the physical range of its rows whose sort-dim value
+lies in the query's range. Rows are stored sorted by the int64 key
 ``cell id · U + rank of the sort value`` (U distinct sort values, NaN
 ranked last), so two binary searches of that key, for the range starts
-and the range ends, find every range at once;
-*scan* executes on the column store, with ranges proven exact skipping
-per-point checks (§7.1).
+and the range ends, find every range at once; *scan* executes on the
+column store, one column slice per range, with ranges proven exact
+skipping per-point checks (§7.1).
 
 Projection and refinement times are exposed in ``QueryResult.extra``
 (``proj_time``, ``refine_time``): they are the cost model's w_p and w_r
@@ -26,6 +27,8 @@ targets (§4.1.1). Its features come from the typed counts of
 """
 from __future__ import annotations
 
+import bisect
+import math
 import time
 from dataclasses import dataclass
 
@@ -133,78 +136,78 @@ def _no_cells():
     return np.empty(0, dtype=np.int64), [], np.empty(0, dtype=bool)
 
 
-def project(layout: Layout, edges: list[np.ndarray], nan_free: list[bool], q: Query):
+def edge_list(edges: np.ndarray) -> list[float]:
+    """A grid dimension's edges as the Python list :func:`project` searches.
+
+    NaN edges (equal-width columns no float reaches) always trail, and
+    ``searchsorted`` ranks them above every number where ``bisect`` cannot,
+    so the list holds only the non-NaN prefix: ``bisect_right`` on it then
+    equals :func:`column_of` for every non-NaN value."""
+    return edges[~np.isnan(edges)].tolist()
+
+
+def project(layout: Layout, edges: list[list[float]], nan_free: list[bool], q: Query):
     """Intersect the query rectangle with the grid (§3.2.1).
 
-    ``edges`` and ``nan_free`` (the dimension holds no NaN) are per grid
-    dim, in layout order. Returns the visited cell ids (ascending), each
-    grid dim's inclusive column range, and per visited cell whether every
-    grid-dim filter holds for all its rows (a candidate for exactness).
-    An empty range (``not lo <= hi``: inverted or NaN) on any dimension,
-    the sort dim included, visits no cell.
+    ``edges`` (each from :func:`edge_list`) and ``nan_free`` (the dimension
+    holds no NaN) are per grid dim, in layout order. Returns the visited
+    cell ids (ascending), each grid dim's inclusive column range, and per
+    visited cell whether every grid-dim filter holds for all its rows (a
+    candidate for exactness). An empty range (``not lo <= hi``: inverted or
+    NaN) on any dimension, the sort dim included, visits no cell.
+
+    The column ranges come from Python scalars (one ``bisect`` per bound);
+    only the cells and their flags are numpy arrays, an outer sum over the
+    dims that span more than one column.
     """
-    lo, hi = q.ranges[layout.sort_dim]
+    ranges = q.ranges.tolist()
+    lo, hi = ranges[layout.sort_dim]
     if not lo <= hi:
         return _no_cells()
     col_ranges: list[tuple[int, int]] = []
-    interior_masks: list[np.ndarray] = []
+    stride = math.prod(layout.cols)
+    const, iconst = 0, True
+    spans = []  # (first cell term, column count, stride, first/last interior)
     for dim, c, e, nf in zip(layout.grid_dims, layout.cols, edges, nan_free):
-        if q.filters(dim):
-            lo, hi = q.ranges[dim]
-            if not lo <= hi:
-                return _no_cells()
+        stride //= c  # row-major: the first grid dim is most significant
+        lo, hi = ranges[dim]
+        if lo == -math.inf and hi == math.inf:
+            clo, chi, first, last = 0, c - 1, True, True
+        elif not lo <= hi:
+            return _no_cells()
+        else:
             # only ±inf is open
-            clo = 0 if lo == -np.inf else int(column_of(e, lo))
-            chi = c - 1 if hi == np.inf else int(column_of(e, hi))
-            cols = np.arange(clo, chi + 1)
-            # interior columns match the filter for sure (see §3.2.1);
-            # boundary columns need per-point checks
-            inner = (cols > clo) & (cols < chi)
-            if lo == -np.inf:
-                inner |= cols < chi
-            if hi == np.inf:
-                inner |= cols > clo
-                # NaN values, which match no filter, sit in the last column
-                inner[-1] &= nf
-            col_ranges.append((clo, chi))
-            interior_masks.append(inner)
+            clo = 0 if lo == -math.inf else bisect.bisect_right(e, lo)
+            chi = c - 1 if hi == math.inf else bisect.bisect_right(e, hi)
+            # interior columns match the filter for sure (see §3.2.1); the
+            # first and last need per-point checks unless their side is
+            # open, and NaN values, which match no filter, sit in the last
+            first, last = lo == -math.inf, hi == math.inf and nf
+        col_ranges.append((clo, chi))
+        if clo == chi:
+            # a dim of one column folds into a constant, so only the others
+            # pay an outer sum: much cheaper than a d-way meshgrid for the
+            # common mostly-1-column case
+            const += clo * stride
+            iconst = iconst and first and last
         else:
-            col_ranges.append((0, c - 1))
-            interior_masks.append(np.ones(c, dtype=bool))
-    # cartesian product of column ranges → cell ids (row-major strides).
-    # Singleton dims (1 column, or an unfiltered narrow range) fold into
-    # a constant; only non-singleton dims pay an outer-sum — much
-    # cheaper than a d-way meshgrid for the common mostly-1-column case.
-    strides = np.ones(len(layout.cols), dtype=np.int64)
-    for i in range(len(layout.cols) - 2, -1, -1):
-        strides[i] = strides[i + 1] * layout.cols[i + 1]
-    const = 0
-    arrs: list[np.ndarray] = []
-    iconst = True
-    iarrs: list[np.ndarray] = []
-    for (lo, hi), s, im in zip(col_ranges, strides, interior_masks):
-        if hi == lo:
-            const += lo * s
-            iconst = iconst and bool(im[0])
-        else:
-            arrs.append(np.arange(lo, hi + 1) * s)
-            iarrs.append(im)
-    if not arrs:
-        cells = np.array([const], dtype=np.int64)
-    else:
-        acc = arrs[0]
-        for a in arrs[1:]:
-            acc = (acc[:, None] + a[None, :]).ravel()
-        cells = acc + const
+            spans.append((clo * stride, chi - clo + 1, stride, first, last))
+    if not spans:
+        return np.array([const], dtype=np.int64), col_ranges, np.array([iconst])
+    # cartesian product of the column ranges → cell ids, the constant
+    # folded into the first dim's terms; the interior flags likewise
+    start, n, step, _, _ = spans[0]
+    cells = np.arange(start + const, start + const + n * step, step)
+    for start, n, step, _, _ in spans[1:]:
+        cells = (cells[:, None] + np.arange(start, start + n * step, step)).ravel()
     if not iconst:
-        interior_ok = np.zeros(cells.size, dtype=bool)
-    elif not iarrs:
-        interior_ok = np.ones(cells.size, dtype=bool)
-    else:
-        iacc = iarrs[0]
-        for a in iarrs[1:]:
-            iacc = (iacc[:, None] & a[None, :]).ravel()
-        interior_ok = iacc
+        return cells, col_ranges, np.zeros(cells.size, dtype=bool)
+    interior_ok = None
+    for _, n, _, first, last in spans:
+        inner = np.empty(n, dtype=bool)
+        inner.fill(True)
+        inner[0], inner[-1] = first, last
+        interior_ok = inner if interior_ok is None else (interior_ok[:, None] & inner).ravel()
     return cells, col_ranges, interior_ok
 
 
@@ -215,6 +218,7 @@ class FloodIndex(BaseIndex):
         super().__init__()
         self.layout = layout
         self.edges: list[np.ndarray] = []   # per grid dim, in layout order
+        self._edge_lists: list[list[float]] = []  # the same, for project
         self._nan_free: list[bool] = []     # per grid dim: holds no NaN
         self.sort_keys: np.ndarray | None = None  # distinct sort-dim values
         self.key: np.ndarray | None = None  # per stored row, ascending
@@ -237,6 +241,7 @@ class FloodIndex(BaseIndex):
             if L.flatten and n > EDGE_SAMPLE:
                 col = rng.choice(col, EDGE_SAMPLE, replace=False)
             self.edges.append(column_edges(col, c, L.flatten))
+        self._edge_lists = [edge_list(e) for e in self.edges]
         # rows sort by the key cell id · U + rank of the sort value, over
         # the U distinct sort values (NaN last), which refinement searches
         self.sort_keys, self.key = np.unique(data[:, L.sort_dim], return_inverse=True)
@@ -264,34 +269,31 @@ class FloodIndex(BaseIndex):
     def _query(self, q: Query) -> QueryResult:
         """Overrides BaseIndex._query to time projection/refinement separately
         (the cost model's w_p / w_r targets, §4.1.1)."""
+        lo, hi = q.ranges[self.layout.sort_dim].tolist()
         t0 = time.perf_counter()
-        cells, _, interior_ok = project(self.layout, self.edges, self._nan_free, q)
-        t_proj = time.perf_counter() - t0
-
-        sort_filtered = q.filters(self.layout.sort_dim)
-        t0 = time.perf_counter()
-        starts, ends, exact = self._refine(q, cells, interior_ok, sort_filtered)
-        t_ref = time.perf_counter() - t0
+        cells, _, interior_ok = project(self.layout, self._edge_lists, self._nan_free, q)
+        t1 = time.perf_counter()
+        starts, ends, exact = self._refine(lo, hi, cells, interior_ok)
+        t2 = time.perf_counter()
 
         stats = self.store.scan(starts, ends, exact, q)
         return QueryResult(
             value=stats.value,
             n_matched=stats.n_matched,
             n_scanned=stats.n_scanned,
-            index_time=t_proj + t_ref,
+            index_time=t2 - t0,
             scan_time=stats.scan_time,
-            n_cells=int(cells.size),
+            n_cells=cells.size,
             n_exact=stats.n_exact,
             n_ranges=stats.n_ranges,
-            extra={"proj_time": t_proj, "refine_time": t_ref},
+            extra={"proj_time": t1 - t0, "refine_time": t2 - t1},
         )
 
-    def _refine(self, q: Query, cells: np.ndarray, interior_ok: np.ndarray,
-                sort_filtered: bool):
-        """Refinement over the sort dimension (§3.2.2): two binary searches
-        of the stored key serve every visited cell, since cell ``k``'s rows
-        with sort-key rank in ``[r_lo, r_hi)`` are those with key in
-        ``[k·U + r_lo, k·U + r_hi)``.
+    def _refine(self, lo: float, hi: float, cells: np.ndarray, interior_ok: np.ndarray):
+        """Refinement over the sort dimension (§3.2.2) to its range
+        ``[lo, hi]``: two binary searches of the stored key serve every
+        visited cell, since cell ``k``'s rows with sort-key rank in
+        ``[r_lo, r_hi)`` are those with key in ``[k·U + r_lo, k·U + r_hi)``.
 
         Returns the nonempty ``[start, end)`` ranges and their exactness:
         refinement makes the sort dim exact, so a range is exact when its
@@ -299,16 +301,16 @@ class FloodIndex(BaseIndex):
         equal exactness merge into one range.
         """
         keys = self.sort_keys
-        lo, hi = 0, keys.size
+        sort_filtered = not (lo == -math.inf and hi == math.inf)
+        r_lo, r_hi = 0, keys.size
         if sort_filtered:
-            a, b = q.ranges[self.layout.sort_dim]
             # NaN is the last key, so +inf cuts before it; a NaN bound
             # never gets here, as its projection visits no cell
-            lo = keys.searchsorted(a, "left")
-            hi = keys.searchsorted(b, "right")
+            r_lo = keys.searchsorted(lo, "left")
+            r_hi = keys.searchsorted(hi, "right")
         base = cells * keys.size
-        starts = self.key.searchsorted(base + lo)
-        ends = self.key.searchsorted(base + hi)
+        starts = self.key.searchsorted(base + r_lo)
+        ends = self.key.searchsorted(base + r_hi)
         keep = ends > starts
         starts, ends, exact = starts[keep], ends[keep], interior_ok[keep]
         if not sort_filtered and starts.size > 1:

@@ -22,7 +22,7 @@ DataFrame analogue of Flood's cell table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -31,7 +31,7 @@ from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType
 
 from repro.core.query import query_from_dict
-from repro.indexes.flood import Layout, column_edges, project
+from repro.indexes.flood import Layout, column_edges, edge_list, project
 
 CELL_COL = "__flood_cell"
 
@@ -43,6 +43,10 @@ class SparkFloodLayout:
     layout: Layout
     dim_cols: list[str]                    # dataframe column per dim index
     boundaries: dict[int, np.ndarray]      # grid dim -> ascending thresholds
+    edge_lists: list[list[float]] = field(init=False)  # per grid dim, for project
+
+    def __post_init__(self) -> None:
+        self.edge_lists = [edge_list(self.boundaries[d]) for d in self.layout.grid_dims]
 
     @property
     def sort_col(self) -> str:
@@ -116,8 +120,7 @@ def project_bounds(sfl: SparkFloodLayout, bounds: dict[str, tuple[float, float]]
     dim_of = {name: dim for dim, name in enumerate(sfl.dim_cols)}
     q = query_from_dict(len(sfl.dim_cols),
                         {dim_of[c]: b for c, b in bounds.items() if c in dim_of})
-    grid = sfl.layout.grid_dims
-    return project(sfl.layout, [sfl.boundaries[d] for d in grid], [False] * len(grid), q)
+    return project(sfl.layout, sfl.edge_lists, [False] * len(sfl.edge_lists), q)
 
 
 def cell_runs_for_query(sfl: SparkFloodLayout,

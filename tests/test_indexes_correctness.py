@@ -179,6 +179,26 @@ def test_open_and_nan_ranges_on_every_index(with_inf):
             assert query_from_dict(D, {1: bounds}).mask(data).sum() == want
 
 
+@pytest.mark.parametrize("name", list(_factories()))
+def test_nan_data_on_every_index(name):
+    """NaN values, which match no filter, in every dimension: COUNT and
+    SUM equal ``Query.mask`` on every index, with bounds drawn from the
+    data (NaN ones too, which match nothing)."""
+    rng = np.random.default_rng(11)
+    data = rng.random((N, D)) * 100
+    data[rng.random((N, D)) < 0.05] = np.nan
+    idx = _factories()[name]().build(data, _queries(data, 10, seed=1))
+    for base in _queries(data, 30, seed=12) + [query_from_dict(D, {0: (50.0, np.inf)})]:
+        bounds = {int(d): tuple(base.ranges[d]) for d in base.filtered_dims}
+        for agg in ("count", "sum"):
+            q = query_from_dict(D, bounds, agg=agg, agg_dim=base.agg_dim)
+            r = idx.query(q)
+            m = q.mask(data)
+            assert r.n_matched == m.sum(), q.ranges
+            want = m.sum() if agg == "count" else data[m, q.agg_dim].sum()
+            assert np.isclose(r.value, want, rtol=1e-12, equal_nan=True), q.ranges
+
+
 def _inf_data():
     """Uniform data whose dim 1 holds 300 +inf and 300 -inf values."""
     rng = np.random.default_rng(6)

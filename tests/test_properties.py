@@ -8,10 +8,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.plm import PLM
-from repro.core.query import query_from_dict
+from repro.core.query import Query, query_from_dict
 from repro.core.rmi import RMI
-from repro.indexes.flood import (EDGE_SAMPLE, FloodIndex, Layout, column_edges,
-                                 column_of)
+from repro.indexes.flood import (EDGE_SAMPLE, FloodIndex, Layout, _no_cells, column_edges,
+                                 column_of, edge_list, project)
 from repro.indexes.kdtree import KDTree
 from repro.indexes.zorder import ZOrderIndex
 
@@ -153,6 +153,27 @@ def test_rmi_cdf_matches_empirical(vals):
     assert np.allclose(m.cdf(probes), expect)
 
 
+_HUGE = [8.99e307, -8.99e307, 1.7976931348623157e308, -1.7976931348623157e308, 1e300]
+_any_float = st.one_of(st.sampled_from(_HUGE), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(st.lists(_any_float, min_size=1, max_size=300), st.lists(_any_float, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_rmi_over_the_full_float_range(vals, probes):
+    """Keys and bounds anywhere in the float range, up to ±1.8e308, NaN
+    and ±inf included: the leaves fit without overflow, and every lookup
+    equals searchsorted."""
+    keys = np.asarray(vals)
+    m = RMI(keys)
+    srt = np.sort(keys)
+    probes = probes + vals[:4]
+    for lo in probes:
+        for hi in probes:
+            want = (np.searchsorted(srt, lo, side="left"),
+                    np.searchsorted(srt, hi, side="right"))
+            assert m.lookup_range(lo, hi) == want, (lo, hi)
+
+
 # -- column edges vs the column formulas they replace ------------------------
 def _rank_columns(sample, v, c):
     """Flattened oracle: a value of sample rank r lies in min(int((r/n)·c), c−1)."""
@@ -251,3 +272,126 @@ def test_flood_index_size_is_cell_table_plus_edges(dq, flatten):
     idx = FloodIndex(layout=Layout(order=list(range(d)), cols=cols, flatten=flatten)).build(data)
     assert idx.index_size_bytes() == (idx.cell_starts.nbytes + 8 * sum(c - 1 for c in cols)
                                       + idx.key.nbytes + idx.sort_keys.nbytes)
+
+
+# -- projection vs the numpy projection it replaced ---------------------------
+def _numpy_project(layout: Layout, edges: list[np.ndarray], nan_free: list[bool], q: Query):
+    """``flood.project`` as it was: numpy edges, ``searchsorted`` per bound."""
+    lo, hi = q.ranges[layout.sort_dim]
+    if not lo <= hi:
+        return _no_cells()
+    col_ranges: list[tuple[int, int]] = []
+    interior_masks: list[np.ndarray] = []
+    for dim, c, e, nf in zip(layout.grid_dims, layout.cols, edges, nan_free):
+        if q.filters(dim):
+            lo, hi = q.ranges[dim]
+            if not lo <= hi:
+                return _no_cells()
+            # only ±inf is open
+            clo = 0 if lo == -np.inf else int(column_of(e, lo))
+            chi = c - 1 if hi == np.inf else int(column_of(e, hi))
+            cols = np.arange(clo, chi + 1)
+            # interior columns match the filter for sure (see §3.2.1);
+            # boundary columns need per-point checks
+            inner = (cols > clo) & (cols < chi)
+            if lo == -np.inf:
+                inner |= cols < chi
+            if hi == np.inf:
+                inner |= cols > clo
+                # NaN values, which match no filter, sit in the last column
+                inner[-1] &= nf
+            col_ranges.append((clo, chi))
+            interior_masks.append(inner)
+        else:
+            col_ranges.append((0, c - 1))
+            interior_masks.append(np.ones(c, dtype=bool))
+    # cartesian product of column ranges → cell ids (row-major strides).
+    # Singleton dims (1 column, or an unfiltered narrow range) fold into
+    # a constant; only non-singleton dims pay an outer-sum — much
+    # cheaper than a d-way meshgrid for the common mostly-1-column case.
+    strides = np.ones(len(layout.cols), dtype=np.int64)
+    for i in range(len(layout.cols) - 2, -1, -1):
+        strides[i] = strides[i + 1] * layout.cols[i + 1]
+    const = 0
+    arrs: list[np.ndarray] = []
+    iconst = True
+    iarrs: list[np.ndarray] = []
+    for (lo, hi), s, im in zip(col_ranges, strides, interior_masks):
+        if hi == lo:
+            const += lo * s
+            iconst = iconst and bool(im[0])
+        else:
+            arrs.append(np.arange(lo, hi + 1) * s)
+            iarrs.append(im)
+    if not arrs:
+        cells = np.array([const], dtype=np.int64)
+    else:
+        acc = arrs[0]
+        for a in arrs[1:]:
+            acc = (acc[:, None] + a[None, :]).ravel()
+        cells = acc + const
+    if not iconst:
+        interior_ok = np.zeros(cells.size, dtype=bool)
+    elif not iarrs:
+        interior_ok = np.ones(cells.size, dtype=bool)
+    else:
+        iacc = iarrs[0]
+        for a in iarrs[1:]:
+            iacc = (iacc[:, None] & a[None, :]).ravel()
+        interior_ok = iacc
+    return cells, col_ranges, interior_ok
+
+
+_BOUNDS = [np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0]
+_PAIRS = [(np.inf, np.inf), (-np.inf, -np.inf), (-np.inf, np.inf), (np.inf, -np.inf),
+          (np.nan, np.nan)]
+
+
+@st.composite
+def projection_case(draw):
+    """A layout with 1 to 40 columns per grid dim, flattened or
+    equal-width, over values holding NaN and ±inf (so equal-width edges
+    can be NaN), per-dim ``nan_free`` flags, and a query whose bounds are
+    data values, edges, ±inf, NaN, out of domain, often inverted."""
+    d = draw(st.integers(1, 4))
+    layout = Layout(order=draw(st.permutations(range(d))),
+                    cols=draw(st.lists(st.integers(1, 40), min_size=d - 1, max_size=d - 1)),
+                    flatten=draw(st.booleans()))
+    edges, values = [], []
+    for c in layout.cols:
+        vals = np.asarray(draw(st.lists(_values, min_size=1, max_size=60)))
+        edges.append(column_edges(vals, c, layout.flatten))
+        values.append(np.concatenate([vals, edges[-1]]))
+    nan_free = draw(st.lists(st.booleans(), min_size=d - 1, max_size=d - 1))
+    pool = dict(zip(layout.grid_dims, values))
+    bounds = {}
+    for dim in draw(st.sets(st.integers(0, d - 1))):
+        near = st.sampled_from(pool[dim].tolist()) if dim in pool else st.nothing()
+        bound = st.one_of(near, st.sampled_from(_BOUNDS), st.floats(-1e6, 1e6))
+        bounds[dim] = draw(st.one_of(st.tuples(bound, bound), st.sampled_from(_PAIRS)))
+    return layout, edges, nan_free, query_from_dict(d, bounds)
+
+
+def _same_projection(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[0].dtype == want[0].dtype == np.int64
+    assert got[1] == want[1]
+    np.testing.assert_array_equal(got[2], want[2])
+
+
+@given(projection_case())
+@settings(max_examples=400, deadline=None)
+def test_projection_equals_numpy_projection(case):
+    """Python-scalar projection gives the numpy projection's cells, column
+    ranges and interior flags, directly and through ``sparkglue``."""
+    from repro.sparkglue.layout import SparkFloodLayout, project_bounds
+
+    layout, edges, nan_free, q = case
+    got = project(layout, [edge_list(e) for e in edges], nan_free, q)
+    _same_projection(got, _numpy_project(layout, edges, nan_free, q))
+    names = [f"c{i}" for i in range(q.d)]
+    sfl = SparkFloodLayout(layout=layout, dim_cols=names,
+                           boundaries=dict(zip(layout.grid_dims, edges)))
+    bounds = {names[dim]: tuple(q.ranges[dim]) for dim in q.filtered_dims}
+    _same_projection(project_bounds(sfl, bounds),
+                     _numpy_project(layout, edges, [False] * len(edges), q))

@@ -1,11 +1,12 @@
 """Column store: scans, exact ranges, cumulative aggregates, counters."""
 import math
+import time
 
 import numpy as np
 import pytest
 
-from repro.columnstore.store import ColumnStore, prefix_sums
-from repro.core.query import AGG_SUM, query_from_dict
+from repro.columnstore.store import SUM_RTOL, ColumnStore, ScanStats, prefix_sums
+from repro.core.query import AGG_SUM, Query, query_from_dict
 
 
 @pytest.fixture
@@ -125,3 +126,118 @@ def test_matrix_roundtrip(data):
 def test_rejects_non_2d():
     with pytest.raises(ValueError):
         ColumnStore(np.zeros(5))
+
+
+# -- the gather scan that range slices replaced, kept as the reference ------
+def _positions(starts: np.ndarray, ends: np.ndarray):
+    """The rows of the nonempty ranges ``[starts[k], ends[k])`` in order:
+    a slice for one range, else one ``repeat`` of each range's shift."""
+    if starts.size == 1:
+        return slice(int(starts[0]), int(ends[0]))
+    lens = ends - starts
+    shift = starts - (np.cumsum(lens) - lens)
+    return np.repeat(shift, lens) + np.arange(int(lens.sum()))
+
+
+def _gather_scan(self: ColumnStore, starts: np.ndarray, ends: np.ndarray,
+                 exact: np.ndarray, q: Query) -> ScanStats:
+    """``ColumnStore.scan`` as it was: inexact ranges gathered through one
+    position array."""
+    t0 = time.perf_counter()
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    exact = np.asarray(exact, dtype=bool)
+    keep = ends > starts
+    ex = keep & exact
+    inex = keep ^ ex
+    want_sum = q.agg == AGG_SUM
+    agg_col = self.cols[q.agg_dim] if want_sum else None
+    total = 0.0
+
+    n_exact = n_scanned = n_matched = 0
+    if np.count_nonzero(ex):
+        ex_s, ex_e = starts[ex], ends[ex]
+        n_exact = n_scanned = n_matched = int((ex_e - ex_s).sum())
+        if not want_sum:
+            total += n_exact
+        else:
+            cs = self._cums[q.agg_dim]
+            ps, pe = cs[ex_s], cs[ex_e]
+            # prefix sums are within half an ulp, so pe - ps errs by
+            # under 2**-52·(|ps| + |pe|); NaN (inf - inf) fails the test too
+            with np.errstate(invalid="ignore"):
+                sums = pe - ps
+                direct = ~(np.ldexp(np.abs(ps) + np.abs(pe), -52)
+                           <= SUM_RTOL * np.abs(sums))
+            for k in np.flatnonzero(direct).tolist():
+                sums[k] = agg_col[ex_s[k]:ex_e[k]].sum()
+            total += float(sums.sum())
+    if np.count_nonzero(inex):
+        idx = _positions(starts[inex], ends[inex])
+        m = idx.stop - idx.start if isinstance(idx, slice) else idx.size
+        n_scanned += m
+        mask = None
+        for dim in q.filtered_dims:
+            col = self.cols[dim][idx]
+            lo, hi = q.ranges[dim]
+            cond = (col >= lo) & (col <= hi)
+            mask = cond if mask is None else (mask & cond)
+        if mask is None:
+            k = m
+            if want_sum:
+                total += float(agg_col[idx].sum())
+        else:
+            k = int(mask.sum())
+            if want_sum and k:
+                total += float(agg_col[idx][mask].sum())
+        n_matched += k
+        if not want_sum:
+            total += k
+    return ScanStats(
+        value=total,
+        n_scanned=n_scanned,
+        n_matched=n_matched,
+        n_exact=n_exact,
+        n_ranges=int(np.count_nonzero(keep)),
+        scan_time=time.perf_counter() - t0,
+    )
+
+
+def _range_set(rng, n):
+    """One random range set: a single range, many short ones, long ones,
+    or none; some empty or inverted; exact and inexact mixed."""
+    kind = rng.integers(4)
+    k = 1 if kind == 0 else int(rng.integers(0, 4)) if kind == 3 else int(rng.integers(2, 300))
+    length = rng.integers(0, 9, k) if kind == 1 else rng.integers(0, n // 4, k)
+    starts = rng.integers(0, n + 1, k)
+    ends = np.where(rng.random(k) < 0.15, starts - rng.integers(0, 5, k), starts + length)
+    exact = rng.random(k) < rng.choice([0.0, 0.5, 1.0])
+    return starts, ends.clip(0, n), exact
+
+
+def test_slice_scan_equals_gather_scan_bit_for_bit():
+    """On data holding NaN and ±inf, the range-slice scan returns the
+    gather scan's value and every count exactly, over 1000 range sets."""
+    rng = np.random.default_rng(17)
+    n = 4000
+    data = rng.lognormal(0, 2, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
+    special = rng.random((n, 3))
+    data[special < 0.01] = np.nan
+    data[(special >= 0.01) & (special < 0.015)] = np.inf
+    data[(special >= 0.015) & (special < 0.02)] = -np.inf
+    st = ColumnStore(data)
+    queries = [query_from_dict(3, {0: (-2.0, 5.0)}),
+               query_from_dict(3, {0: (-np.inf, 1.0), 2: (0.5, np.inf)}),
+               query_from_dict(3, {1: (0.0, 3.0)}, agg=AGG_SUM, agg_dim=1),
+               query_from_dict(3, {0: (-5.0, 5.0), 1: (-1.0, 8.0)}, agg=AGG_SUM, agg_dim=2),
+               query_from_dict(3, {}, agg=AGG_SUM, agg_dim=0),
+               query_from_dict(3, {})]
+    for i in range(1000):
+        starts, ends, exact = _range_set(rng, n)
+        q = queries[i % len(queries)]
+        got = st.scan(starts, ends, exact, q)
+        with np.errstate(invalid="ignore"):  # inf - inf sums warn in the reference
+            want = _gather_scan(st, starts, ends, exact, q)
+        assert (got.n_scanned, got.n_matched, got.n_exact, got.n_ranges) == \
+            (want.n_scanned, want.n_matched, want.n_exact, want.n_ranges), i
+        assert got.value == want.value or (math.isnan(got.value) and math.isnan(want.value)), i
