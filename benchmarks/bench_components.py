@@ -4,7 +4,9 @@ Covers the §7.8 comparison (per-cell CDF model lookup: PLM vs binary
 search), the cost of flattening/calibration — the knobs a reader would
 tune when porting Flood — and the column-store scan over R ranges of L
 rows each, which reads one slice per range and column: many short ranges
-cost more per row than a few long ones.
+cost more per row than a few long ones. The scan runs on uniform floats,
+filtered as float64, and on integers 0..2556 (like tpch's ship date),
+filtered on their uint16 filter copy.
 """
 import numpy as np
 import pytest
@@ -53,11 +55,16 @@ def test_bench_column_of(benchmark):
     assert out.shape == (10_000,)
 
 
-@pytest.fixture(scope="module")
-def scan_store():
+@pytest.fixture(scope="module", params=["float", "int"])
+def scan_store(request):
+    """A 1M-row store of uniform floats in [0, 1), or of integers 0..2556,
+    with the filter that keeps the middle half of column 0."""
     rng = np.random.default_rng(3)
-    data = rng.random((1 << 20, 2))
-    return data, ColumnStore(data)
+    if request.param == "float":
+        data, bounds = rng.random((1 << 20, 2)), (0.25, 0.75)
+    else:
+        data, bounds = rng.integers(0, 2557, (1 << 20, 2)).astype(float), (639.0, 1917.0)
+    return request.param, data, ColumnStore(data), bounds
 
 
 @pytest.mark.benchmark(group="scan")
@@ -66,15 +73,15 @@ def scan_store():
 def test_bench_scan(benchmark, scan_store, n_ranges, length):
     """COUNT over ``n_ranges`` inexact ranges of ``length`` rows each,
     spread over a 1M-row store, with one filtered column."""
-    data, store = scan_store
+    values, data, store, (lo, hi) = scan_store
     starts = np.linspace(0, data.shape[0] - length, n_ranges).astype(np.int64)
     ends = starts + length
     exact = np.zeros(n_ranges, dtype=bool)
-    q = query_from_dict(2, {0: (0.25, 0.75)})
-    benchmark.name = f"scan R={n_ranges} L={length}"
+    q = query_from_dict(2, {0: (lo, hi)})
+    benchmark.name = f"scan {values} R={n_ranges} L={length}"
     out = benchmark(lambda: store.scan(starts, ends, exact, q))
     rows = np.concatenate([data[s:e, 0] for s, e in zip(starts, ends)])
-    assert out.n_matched == np.count_nonzero((rows >= 0.25) & (rows <= 0.75))
+    assert out.n_matched == np.count_nonzero((rows >= lo) & (rows <= hi))
     assert out.n_scanned == n_ranges * length
 
 

@@ -31,6 +31,9 @@ class BaseIndex:
     """Abstract layout-over-column-store index."""
 
     name: str = "base"
+    #: a dimension that :meth:`_ranges` locates exactly, so every row of its
+    #: ranges already meets that dimension's filter and the scan skips it
+    met_dim: int | None = None
 
     def __init__(self) -> None:
         self.store: ColumnStore | None = None
@@ -76,7 +79,7 @@ class BaseIndex:
         ranges, n_cells = self._ranges(q) if self.n and (lo <= hi).all() else ([], 0)
         r = np.array(ranges, dtype=np.int64).reshape(-1, 3)
         index_time = time.perf_counter() - t0
-        stats = self.store.scan(r[:, 0], r[:, 1], r[:, 2].astype(bool), q)
+        stats = self.store.scan(r[:, 0], r[:, 1], r[:, 2].astype(bool), q, self.met_dim)
         return QueryResult(
             value=stats.value,
             n_matched=stats.n_matched,

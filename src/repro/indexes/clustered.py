@@ -5,9 +5,9 @@ two-layer linear RMI (the "learned B-tree" of [23]) locates range
 endpoints on that column. Queries that do not filter the clustered
 dimension degrade to a full scan, exactly as in the paper.
 
-The located range is *exact in the clustered dimension*; it is an exact
-range for the store (no per-point checks) only when the query filters
-nothing else.
+The located range is *exact in the clustered dimension*, so the scan
+skips that dimension's check (``met_dim``); it is an exact range for the
+store (no per-point checks) only when the query filters nothing else.
 """
 from __future__ import annotations
 
@@ -36,6 +36,10 @@ class ClusteredIndex(BaseIndex):
         order = np.argsort(data[:, self.sort_dim], kind="stable")
         self.store = ColumnStore(data[order])
         self.rmi = RMI(self.store.cols[self.sort_dim], n_experts=N_EXPERTS)
+
+    @property
+    def met_dim(self) -> int | None:
+        return self.sort_dim
 
     def _ranges(self, q: Query):
         sd = self.sort_dim

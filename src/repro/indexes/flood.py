@@ -18,7 +18,8 @@ lies in the query's range. Rows are stored sorted by the int64 key
 ranked last), so two binary searches of that key, for the range starts
 and the range ends, find every range at once; *scan* executes on the
 column store, one column slice per range, with ranges proven exact
-skipping per-point checks (§7.1).
+skipping per-point checks (§7.1) and every range skipping the sort-dim
+check, which refinement has made exact.
 
 Projection and refinement times are exposed in ``QueryResult.extra``
 (``proj_time``, ``refine_time``): they are the cost model's w_p and w_r
@@ -276,7 +277,8 @@ class FloodIndex(BaseIndex):
         starts, ends, exact = self._refine(lo, hi, cells, interior_ok)
         t2 = time.perf_counter()
 
-        stats = self.store.scan(starts, ends, exact, q)
+        # refinement cut the sort dim exactly, so its check is skipped
+        stats = self.store.scan(starts, ends, exact, q, self.layout.sort_dim)
         return QueryResult(
             value=stats.value,
             n_matched=stats.n_matched,

@@ -55,6 +55,9 @@ class ZOrderIndex(BaseIndex):
         hi = np.clip(hi, self.mins, self.maxs)
         qlo = quantize(lo.reshape(1, -1), self.mins, self.maxs, self.bits)[0]
         qhi = quantize(hi.reshape(1, -1), self.mins, self.maxs, self.bits)[0]
+        # an open upper side reaches the top coordinate, where NaN and +inf
+        # rows sit even when a dimension's finite values are all one value
+        qhi[q.ranges[:, 1] == np.inf] = 2**self.bits - 1
         zmin = int(interleave(qlo[self.dim_order].reshape(1, -1), self.bits)[0])
         zmax = int(interleave(qhi[self.dim_order].reshape(1, -1), self.bits)[0])
         return zmin, zmax

@@ -266,3 +266,26 @@ def test_rows_at_the_max_of_large_values_are_found(name):
         top = data[:, dim].max()
         q = query_from_dict(D, {dim: (top, top)})
         assert idx.query(q).n_matched == q.mask(data).sum() == 1, dim
+
+
+@pytest.mark.parametrize("name", list(_factories()))
+def test_nan_and_inf_rows_beside_a_constant_dimension(name):
+    """A dimension whose finite values are all one value, plus NaN and
+    +inf rows: a query that leaves it unfiltered, or open above, still
+    finds those rows (Z-order and the UB-tree quantized the open side to
+    the constant's coordinate, below the rows')."""
+    rng = np.random.default_rng(14)
+    data = rng.random((N, D)) * 100
+    data[:, 1] = 5.0
+    data[rng.random(N) < 0.1, 1] = np.nan
+    data[rng.random(N) < 0.05, 1] = np.inf
+    idx = _factories()[name]().build(data)
+    for bounds in ({0: (20.0, 60.0)}, {0: (20.0, 60.0), 1: (5.0, np.inf)},
+                   {1: (6.0, np.inf)}):
+        for agg in ("count", "sum"):
+            q = query_from_dict(D, bounds, agg=agg, agg_dim=2)
+            m = q.mask(data)
+            want = m.sum() if agg == "count" else data[m, 2].sum()
+            r = idx.query(q)
+            assert r.n_matched == m.sum(), bounds
+            assert r.value == pytest.approx(want, rel=1e-12), bounds

@@ -10,9 +10,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core.plm import PLM
 from repro.core.query import Query, query_from_dict
 from repro.core.rmi import RMI
+from repro.indexes.clustered import ClusteredIndex
 from repro.indexes.flood import (EDGE_SAMPLE, FloodIndex, Layout, _no_cells, column_edges,
                                  column_of, edge_list, project)
+from repro.indexes.full_scan import FullScan
+from repro.indexes.grid_file import GridFile
+from repro.indexes.hyperoctree import Hyperoctree
 from repro.indexes.kdtree import KDTree
+from repro.indexes.rstar import RStarTree
+from repro.indexes.ubtree import UBTree
 from repro.indexes.zorder import ZOrderIndex
 
 
@@ -97,6 +103,66 @@ def test_flood_equals_brute_force_on_adversarial_inputs(case):
             assert np.isnan(r.value)
         else:
             assert abs(r.value - want) <= 1e-9 * math.fsum(np.abs(x))
+
+
+@st.composite
+def every_index_case(draw):
+    """Integer-valued, float or mixed columns (so the scan filters both
+    narrow codes and float64), with ties, a constant column, an all-ties
+    Flood sort dim, d = 1, one row and some NaN; bounds from data values,
+    fractional, out of domain, NaN and ±inf, sometimes inverted."""
+    n = draw(st.sampled_from([1, 2, draw(st.integers(3, 200))]))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ints = rng.integers(-3, draw(st.sampled_from([4, 40, 70_000])), (n, d)).astype(float)
+    floats = rng.random((n, d)) * 100 - 20
+    kind = draw(st.sampled_from(["ints", "floats", "mixed"]))
+    data = ints if kind == "ints" else floats if kind == "floats" else \
+        np.where(rng.random(d) < 0.5, ints, floats)
+    order = [int(x) for x in rng.permutation(d)]
+    for dim in draw(st.sets(st.integers(0, d - 1), max_size=2)):
+        data[:, dim] = data[0, dim]  # a constant column
+    if draw(st.booleans()):
+        data[:, order[-1]] = data[0, order[-1]]  # Flood's sort dim all ties
+    data[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.0, 0.1]))] = np.nan
+    bound = st.one_of(st.integers(0, n - 1), st.sampled_from(_BOUND_SPECIAL),
+                      st.floats(-1e6, 1e6), st.sampled_from([0.5, -2.5, 3.5, 1e5]))
+    queries = []
+    for _ in range(3):
+        bounds = {}
+        for dim in draw(st.sets(st.integers(0, d - 1), min_size=1)):
+            lo, hi = (float(data[b, dim]) if isinstance(b, int) else b
+                      for b in (draw(bound), draw(bound)))
+            # mostly ordered, a quarter of the inverted ones kept inverted
+            bounds[dim] = (hi, lo) if hi < lo and draw(st.integers(0, 3)) else (lo, hi)
+        for agg in ("count", "sum"):
+            queries.append(query_from_dict(d, bounds, agg=agg, agg_dim=draw(st.integers(0, d - 1))))
+    indexes = [FullScan(), ClusteredIndex(sort_dim=order[-1]),
+               FloodIndex(layout=Layout(order=order, cols=draw(st.lists(
+                   st.integers(1, 8), min_size=d - 1, max_size=d - 1)))),
+               ZOrderIndex(page_size=8), UBTree(page_size=8), Hyperoctree(page_size=8),
+               KDTree(page_size=8), RStarTree(page_size=8), GridFile(page_size=8)]
+    return data, indexes, queries
+
+
+@given(every_index_case())
+@settings(max_examples=150, deadline=None)
+def test_every_index_equals_brute_force_on_adversarial_inputs(case):
+    """All nine indexes answer COUNT and SUM as ``Query.mask`` does."""
+    data, indexes, queries = case
+    for idx in indexes:
+        idx.build(data, queries)
+        for q in queries:
+            r = idx.query(q)
+            m = q.mask(data)
+            assert r.n_matched == m.sum(), (idx.name, q.ranges)
+            if q.agg == "count":
+                assert r.value == m.sum(), (idx.name, q.ranges)
+            else:
+                x = data[m, q.agg_dim]
+                want = math.fsum(x)
+                assert (abs(r.value - want) <= 1e-9 * math.fsum(np.abs(x))
+                        or np.isnan(want) and np.isnan(r.value)), (idx.name, q.ranges)
 
 
 def test_flood_sort_only_filters_exact_on_ten_thousand_cells():

@@ -5,7 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.columnstore.store import SUM_RTOL, ColumnStore, ScanStats, prefix_sums
+from contextlib import nullcontext
+
+from repro.columnstore.store import SUM_RTOL, ColumnStore, ScanStats, _take, narrow, prefix_sums
 from repro.core.query import AGG_SUM, Query, query_from_dict
 
 
@@ -241,3 +243,215 @@ def test_slice_scan_equals_gather_scan_bit_for_bit():
         assert (got.n_scanned, got.n_matched, got.n_exact, got.n_ranges) == \
             (want.n_scanned, want.n_matched, want.n_exact, want.n_ranges), i
         assert got.value == want.value or (math.isnan(got.value) and math.isnan(want.value)), i
+
+
+# -- the float64 scan that narrow filter copies replaced, kept as the reference
+def _float_scan(self: ColumnStore, starts: np.ndarray, ends: np.ndarray, exact: np.ndarray,
+                q: Query) -> ScanStats:
+    """``ColumnStore.scan`` as it was: every filter a float64 compare."""
+    t0 = time.perf_counter()
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    exact = np.asarray(exact, dtype=bool)
+    keep = ends > starts
+    ex = keep & exact
+    inex = keep ^ ex
+    want_sum = q.agg == AGG_SUM
+    agg_col = self.cols[q.agg_dim] if want_sum else None
+    total = 0.0
+
+    n_exact = n_scanned = n_matched = 0
+    if np.count_nonzero(ex):
+        ex_s, ex_e = starts[ex], ends[ex]
+        n_exact = n_scanned = n_matched = int((ex_e - ex_s).sum())
+        if not want_sum:
+            total += n_exact
+        else:
+            cs = self._cums[q.agg_dim]
+            ps, pe = cs[ex_s], cs[ex_e]
+            # prefix sums are within half an ulp, so pe - ps errs by
+            # under 2**-52·(|ps| + |pe|); NaN (inf - inf) fails the test too
+            with np.errstate(invalid="ignore"):
+                sums = pe - ps
+                direct = ~(np.ldexp(np.abs(ps) + np.abs(pe), -52)
+                           <= SUM_RTOL * np.abs(sums))
+                for k in np.flatnonzero(direct).tolist():
+                    sums[k] = agg_col[ex_s[k]:ex_e[k]].sum()
+                total += float(sums.sum())
+    if np.count_nonzero(inex):
+        in_s, in_e = starts[inex].tolist(), ends[inex].tolist()
+        slices = list(map(slice, in_s, in_e))
+        m = sum(in_e) - sum(in_s)
+        n_scanned += m
+        mask = None
+        for dim, (lo, hi) in enumerate(q.ranges.tolist()):
+            if lo == -math.inf and hi == math.inf:
+                continue  # unfiltered
+            col = _take(self.cols[dim], slices)
+            cond = (col >= lo) & (col <= hi)
+            mask = cond if mask is None else (mask & cond)
+        k = m if mask is None else np.count_nonzero(mask)
+        n_matched += k
+        if not want_sum:
+            total += k
+        elif k:
+            vals = _take(agg_col, slices)
+            if mask is not None:
+                vals = vals[mask]
+            with (np.errstate(invalid="ignore") if self._both_infs[q.agg_dim]
+                  else nullcontext()):
+                total += float(vals.sum())
+    return ScanStats(
+        value=total,
+        n_scanned=n_scanned,
+        n_matched=n_matched,
+        n_exact=n_exact,
+        n_ranges=int(np.count_nonzero(keep)),
+        scan_time=time.perf_counter() - t0,
+    )
+
+
+def _with_ends(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``x`` with its first two values set to ``lo`` and ``hi``, so that
+    the column spans exactly ``[lo, hi]``."""
+    x = x.astype(np.float64)
+    x[:2] = lo, hi
+    return x
+
+
+def _columns(n: int) -> list[tuple[np.ndarray, object]]:
+    """Columns of every kind, each with the code type of its filter copy
+    (``None``: it must stay float64)."""
+    rng = np.random.default_rng(23)
+    ints = rng.integers(0, 60, n).astype(np.float64)
+    top53 = 2.0 ** 53
+
+    def spoil(v, at=0.03):
+        x = ints.copy()
+        x[rng.random(n) < at] = v
+        return x
+
+    return [
+        (ints, np.uint8),
+        (_with_ends(rng.integers(-120, 136, n), -120, 135), np.uint8),  # negative min, top 255
+        (_with_ends(rng.integers(-9000, 9000, n), -9000, 256 - 9000), np.uint16),
+        (_with_ends(rng.integers(0, 65536, n), 0, 65535), np.uint16),
+        (_with_ends(rng.integers(-(2 ** 31), 2 ** 31, n), -(2 ** 31), 2 ** 31 - 1), np.uint32),
+        (top53 - rng.integers(0, 300, n), np.uint16),  # min near 2**53
+        (-top53 + rng.integers(0, 300, n), np.uint16),
+        (np.full(n, 7.0), np.uint8),  # constant
+        (spoil(np.nan), None),
+        (spoil(np.inf), None),
+        (spoil(-np.inf), None),
+        (spoil(30.5, 0.001), None),  # fractional
+        (ints * 2 + 2.0 ** 54, None),  # beyond 2**53
+        (_with_ends(ints * 1e8, 0, 2 ** 32), None),  # span 2**32
+        (spoil(-0.0, 0.001), None),
+    ]
+
+
+def _bounds(rng, col: np.ndarray, code) -> tuple[float, float]:
+    """A random (lo, hi): data values, fractional ones, ±inf, NaN, ±1e300,
+    and values just outside the column and the code type's range."""
+    finite = col[np.isfinite(col)]
+    mn, mx = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
+    edge = [mn - 1, mn, mx, mx + 1, mn - 0.5, mx + 0.5]
+    if code is not None:
+        edge += [mn + np.iinfo(code).max, mn + np.iinfo(code).max + 1, mn - 2 ** 32]
+    special = [np.inf, -np.inf, np.nan, 1e300, -1e300]
+
+    def one():
+        kind = rng.integers(4)
+        if kind == 0:
+            v = float(rng.choice(col))
+            return v + rng.choice([0.0, 0.0, 0.5, -0.5, 0.25])
+        if kind == 1:
+            return float(rng.choice(edge))
+        if kind == 2:
+            return float(rng.choice(special))
+        return float(rng.uniform(mn - 2, mx + 2))
+
+    lo, hi = one(), one()
+    if rng.random() < 0.75 and not lo <= hi:
+        lo, hi = hi, lo  # mostly ordered, sometimes inverted or NaN
+    return lo, hi
+
+
+def test_narrow_keeps_only_exact_integer_columns():
+    """Integer-valued columns of every code width get a filter copy of the
+    narrowest type; NaN, ±inf, fractional values, |v| > 2**53, a span over
+    2**32 - 1 and -0.0 keep the column float64."""
+    for j, (col, code) in enumerate(_columns(500)):
+        got = narrow(col)
+        if code is None:
+            assert got is None, j
+            continue
+        codes, base, top = got
+        assert codes.dtype == code, j
+        assert base == col.min() and top == col.max() - col.min(), j
+        assert np.array_equal(codes.astype(np.float64) + base, col), j
+    assert narrow(np.empty(0)) is None
+
+
+def test_narrow_scan_equals_float_scan_bit_for_bit():
+    """Filtering on the narrow codes returns the float64 scan's value and
+    every count exactly, on columns of every code width and columns that
+    stay float64, over 1000 range sets with fractional, ±inf, (inf, inf),
+    NaN, inverted, ±1e300 and just-out-of-range bounds."""
+    n = 3000
+    cols = _columns(n)
+    data = np.column_stack([c for c, _ in cols])
+    d = data.shape[1]
+    st = ColumnStore(data)
+    rng = np.random.default_rng(29)
+    for i in range(1000):
+        starts, ends, exact = _range_set(rng, n)
+        dims = rng.choice(d, size=int(rng.integers(1, 4)), replace=False)
+        bounds = {int(j): _bounds(rng, data[:, j], cols[j][1]) for j in dims}
+        if i % 50 == 0:
+            bounds = {int(dims[0]): rng.choice([(np.inf, np.inf), (-np.inf, -np.inf),
+                                                (np.nan, np.nan), (5.0, 2.0)])}
+        agg = "sum" if i % 2 else "count"
+        q = query_from_dict(d, bounds, agg=agg, agg_dim=int(rng.integers(d)))
+        got = st.scan(starts, ends, exact, q)
+        want = _float_scan(st, starts, ends, exact, q)
+        assert (got.n_scanned, got.n_matched, got.n_exact, got.n_ranges) == \
+            (want.n_scanned, want.n_matched, want.n_exact, want.n_ranges), (i, bounds)
+        assert got.value == want.value or (math.isnan(got.value) and math.isnan(want.value)), \
+            (i, bounds)
+
+
+@pytest.mark.parametrize("met", [0, 8, 11])
+def test_met_dim_skips_its_check(met):
+    """Over ranges whose rows all meet ``met_dim``'s filter (the store
+    sorted by it, as the clustered index is), skipping that check changes
+    nothing; over rows that do not meet it, the scan really skips it."""
+    n = 3000
+    cols = _columns(n)
+    data = np.column_stack([c for c, _ in cols])
+    data = data[np.argsort(data[:, met], kind="stable")]
+    d = data.shape[1]
+    st = ColumnStore(data)
+    rng = np.random.default_rng(31)
+    for i in range(300):
+        lo, hi = _bounds(rng, data[:, met], cols[met][1])
+        if not lo <= hi:
+            continue  # an index locates no row for an empty range
+        # the rows meeting the filter (NaN sorts last, after +inf)
+        s0 = int(data[:, met].searchsorted(lo, "left"))
+        e0 = int(data[:, met].searchsorted(hi, "right"))
+        if e0 - s0 < 4:
+            starts, ends, exact = np.array([s0]), np.array([e0]), np.array([False])
+        else:
+            starts, ends, exact = _range_set(rng, e0 - s0)
+            starts, ends = starts + s0, ends + s0
+        other = int(rng.integers(d))
+        bounds = {other: _bounds(rng, data[:, other], cols[other][1]), met: (lo, hi)}
+        q = query_from_dict(d, bounds, agg="sum" if i % 2 else "count", agg_dim=1)
+        got = st.scan(starts, ends, exact, q, met)
+        want = _float_scan(st, starts, ends, exact, q)
+        assert (got.n_matched, got.value) == (want.n_matched, want.value), (i, bounds)
+    q = query_from_dict(d, {met: (-1.0, -1.0), 1: (0.0, 100.0)})
+    assert st.scan([0], [n], [False], q).n_matched == 0
+    assert st.scan([0], [n], [False], q, met).n_matched == query_from_dict(
+        d, {1: (0.0, 100.0)}).mask(data).sum()
