@@ -1,11 +1,20 @@
 """Reproduce Table 2: per-index performance breakdown (SO/TPS/ST/IT/TT).
 
+Flood learns its layouts with the benchmark's fixed cost model
+(``perfbench/fixed_model/``), fitted without timing, so its layouts and
+SO repeat from run to run.
+
 Usage: ``python jobs/table2_breakdown.py [--scale bench|test] [--datasets ...]``
 """
 import argparse
+import sys
+from pathlib import Path
 
 from repro.harness.tables import (DATASETS, PAPER_TABLE2_TT, format_table2,
                                   table2)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.common import fixed_cost_model  # noqa: E402
 
 
 def main() -> None:
@@ -17,7 +26,8 @@ def main() -> None:
     ap.add_argument("--no-tune", action="store_true")
     args = ap.parse_args()
     res = table2(scale=args.scale, names=tuple(args.datasets),
-                 n_train=args.train, n_test=args.test, tune=not args.no_tune)
+                 n_train=args.train, n_test=args.test, cost_model=fixed_cost_model(),
+                 tune=not args.no_tune)
     print(format_table2(res))
     print("paper TT (ms) for reference:")
     for name in args.datasets:

@@ -5,10 +5,16 @@ Every index (Flood and the seven §7.2 baselines) is:
 * ``build(data, workload)`` — choose a physical order (a permutation of
   the rows), materialize a :class:`ColumnStore` in that order, and record
   whatever metadata (pages, cells, trees) the index needs; and
-* ``query(q)`` — translate a :class:`Query` into physical
-  ``(start, end, exact)`` ranges (timed as the paper's *index time* IT),
+* ``query(q)`` — translate a :class:`Query` into arrays of physical
+  ``(starts, ends, exact)`` ranges (timed as the paper's *index time* IT),
   hand them to the store's scan (timed as *scan time* ST), and return a
   :class:`QueryResult`.
+
+The paged baselines (k-d tree, hyperoctree, R-tree, Grid File, Z-order
+and the UB-tree) are :class:`PagedIndex` subclasses: however they cut
+space into pages, they store the pages as flat arrays, and one vectorized
+box test, :func:`page_hits`, finds the pages a query rectangle meets (the
+UB-tree alone skips through its Z-values instead).
 
 An empty ``(0, d)`` table is handled here, once for every index: build
 stores it without laying it out, every query scans no range, and its
@@ -76,10 +82,10 @@ class BaseIndex:
         lo, hi = q.ranges.T
         # an empty table, or an empty (inverted or NaN) range on any
         # dimension, matches no row
-        ranges, n_cells = self._ranges(q) if self.n and (lo <= hi).all() else ([], 0)
-        r = np.array(ranges, dtype=np.int64).reshape(-1, 3)
+        starts, ends, exact, n_cells = (self._ranges(q) if self.n and (lo <= hi).all()
+                                        else NO_RANGES)
         index_time = time.perf_counter() - t0
-        stats = self.store.scan(r[:, 0], r[:, 1], r[:, 2].astype(bool), q, self.met_dim)
+        stats = self.store.scan(starts, ends, exact, q, self.met_dim)
         return QueryResult(
             value=stats.value,
             n_matched=stats.n_matched,
@@ -91,10 +97,10 @@ class BaseIndex:
             n_ranges=stats.n_ranges,
         )
 
-    def _ranges(self, q: Query) -> tuple[list[tuple[int, int, bool]], int]:
-        """Physical (start, end, exact) ranges to scan, plus visited cell
-        count; called only on a nonempty table, when every dimension's
-        range is nonempty."""
+    def _ranges(self, q: Query) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Physical ranges to scan, as ``starts`` and ``ends`` (int64) and
+        ``exact`` (bool) arrays, plus the visited cell count; called only
+        on a nonempty table, when every dimension's range is nonempty."""
         raise NotImplementedError
 
     # -- introspection -------------------------------------------------------
@@ -105,6 +111,71 @@ class BaseIndex:
 
     def _index_size_bytes(self) -> int:
         return 0
+
+
+#: the ranges of a query that scans nothing
+NO_RANGES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+             np.zeros(0, dtype=bool), 0)
+
+
+class PagedIndex(BaseIndex):
+    """An index whose pages are contiguous row ranges, each with a box.
+
+    ``_build`` leaves one entry per nonempty page, in physical order, in
+    ``starts`` and ``ends`` (int64) and in the ``(pages, d)`` float arrays
+    ``lo`` and ``hi``: every non-NaN value of page ``k`` lies in the box
+    ``[lo[k], hi[k]]``, or ``[lo[k], hi[k])`` when ``half_open``. A query
+    scans, as inexact ranges, the pages whose box meets its rectangle.
+    """
+
+    #: boxes are [lo, hi) rather than [lo, hi]
+    half_open: bool = False
+
+    def __init__(self, page_size: int = 1024):
+        super().__init__()
+        self.page_size = page_size
+
+    def _lay_out(self, data: np.ndarray, parts: list[np.ndarray]) -> None:
+        """Store the rows of ``data`` page by page, page ``k`` holding the
+        rows ``parts[k]`` in that order, and set ``starts`` and ``ends``."""
+        sizes = np.array([p.size for p in parts], dtype=np.int64)
+        self.ends = np.cumsum(sizes)
+        self.starts = self.ends - sizes
+        self.store = ColumnStore(data[np.concatenate(parts)])
+
+    def _ranges(self, q: Query):
+        hit = page_hits(self.lo, self.hi, q, self.half_open)
+        return self.starts[hit], self.ends[hit], np.zeros(hit.size, dtype=bool), hit.size
+
+    def _index_size_bytes(self) -> int:
+        return self.starts.nbytes + self.ends.nbytes + self.lo.nbytes + self.hi.nbytes
+
+
+def page_hits(lo: np.ndarray, hi: np.ndarray, q: Query, half_open: bool) -> np.ndarray:
+    """Indices of the pages whose box meets the rectangle of ``q``.
+
+    Page ``k``'s box is ``[lo[k], hi[k]]``, or ``[lo[k], hi[k])`` when
+    ``half_open``. A NaN edge never prunes. A tree's leaf box lies inside
+    its ancestors' boxes, so testing the leaves alone finds exactly the
+    leaves a walk from the root would reach.
+    """
+    qlo, qhi = q.ranges[:, 0], q.ranges[:, 1]
+    if half_open:
+        # a box whose top is +inf holds the +inf values: a lower bound of
+        # +inf cuts at the largest float instead
+        below = hi <= np.minimum(qlo, np.finfo(np.float64).max)
+    else:
+        below = hi < qlo
+    return np.flatnonzero(~((lo > qhi) | below).any(axis=1))
+
+
+def page_mbrs(data: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum bounding rectangles of the pages of ``data`` (n, d) that
+    start at rows ``starts`` (increasing, each page running to the next
+    start). NaN values are left out, so a dimension holding some still
+    prunes; a page whose values in a dimension are all NaN gets NaN edges
+    there, which never prune."""
+    return np.fmin.reduceat(data, starts, axis=0), np.fmax.reduceat(data, starts, axis=0)
 
 
 def finite_extent(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,11 +44,11 @@ class ClusteredIndex(BaseIndex):
     def _ranges(self, q: Query):
         sd = self.sort_dim
         if not q.filters(sd):
-            return [(0, self.n, False)], 0
+            return np.array([0]), np.array([self.n]), np.array([False]), 0
         s, e = self.rmi.lookup_range(*q.ranges[sd])
         # exact iff the clustered dim is the only filtered dim
         exact = q.filtered_dims.size == 1
-        return [(s, e, exact)], 1
+        return np.array([s]), np.array([e]), np.array([exact]), 1
 
     def _index_size_bytes(self) -> int:
         r = self.rmi

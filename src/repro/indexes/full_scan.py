@@ -15,4 +15,4 @@ class FullScan(BaseIndex):
         self.store = ColumnStore(data)
 
     def _ranges(self, q: Query):
-        return [(0, self.n, False)], 0
+        return np.array([0]), np.array([self.n]), np.array([False]), 0

@@ -9,19 +9,21 @@ existing block boundary passing through it (no new grid column), else
 adding a new grid column at the bucket's midpoint along a round-robin
 dimension.
 
-Buckets are tracked as a binary split tree (each split produces exactly
-two buckets, as in the paper's description); the per-dimension global
-boundary lists drive the "existing boundary first" rule that makes a
-Grid File different from a k-d tree. Unlike Flood, nothing here adapts
-to the query workload.
+Buckets are tracked as a binary split tree while building (each split
+produces exactly two buckets, as in the paper's description); the
+per-dimension global boundary lists drive the "existing boundary first"
+rule that makes a Grid File different from a k-d tree. The built index
+keeps each nonempty bucket as a page with its half-open region; a query
+scans the buckets whose region meets the rectangle, and marks exact
+those inside it that hold no NaN in a filtered dimension. Unlike Flood,
+nothing here adapts to the query workload.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.columnstore.store import ColumnStore
 from repro.core.query import Query
-from repro.indexes.base import BaseIndex, finite_extent
+from repro.indexes.base import PagedIndex, finite_extent, page_hits
 
 #: buckets stop splitting once there are this many
 MAX_BUCKETS = 200_000
@@ -44,29 +46,26 @@ class _Split:
         self.left, self.right = left, right
 
 
-class GridFile(BaseIndex):
+class GridFile(PagedIndex):
     name = "grid_file"
-
-    def __init__(self, page_size: int = 1024):
-        super().__init__()
-        self.page_size = page_size
+    half_open = True
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
         d = self.d
-        # boxes are half-open: the top edge is the next float above the max
-        lo = data.min(axis=0)
-        hi = np.nextafter(data.max(axis=0), np.inf)
+        # boxes are half-open: the top edge is the next float above the
+        # max; they bound the non-NaN values, and NaN rows go right
+        lo = np.fmin.reduce(data, axis=0)
+        hi = np.nextafter(np.fmax.reduce(data, axis=0), np.inf)
         # midpoints split the finite values: box edges are clamped to
         # them first, so ±inf rows stay in the edge buckets
         flo, fhi = finite_extent(data)
         self._finite = (flo, np.nextafter(fhi, np.inf))
         self.boundaries: list[list[float]] = [[] for _ in range(d)]
-        root_bucket = _Bucket(lo, hi)
-        self.tree: _Split | _Bucket = root_bucket
+        tree: _Split | _Bucket = _Bucket(lo, hi)
         self.n_buckets = 1
         for i in range(self.n):  # incremental, as specified
             p = data[i]
-            node = self.tree
+            node = tree
             parent, side = None, None
             while isinstance(node, _Split):
                 parent = node
@@ -84,28 +83,23 @@ class GridFile(BaseIndex):
                 if split is None:
                     node.cycle = -1
                 elif parent is None:
-                    self.tree = split
+                    tree = split
                 else:
                     setattr(parent, side, split)
-        # materialize: concatenate bucket point lists into contiguous ranges
-        self.buckets: list[_Bucket] = []
-        self._collect(self.tree)
-        perm_parts, ranges = [], []
-        pos = 0
-        for b in self.buckets:
-            perm_parts.append(np.asarray(b.points, dtype=np.int64))
-            ranges.append((pos, pos + len(b.points)))
-            pos += len(b.points)
-        perm = np.concatenate(perm_parts) if perm_parts else np.arange(0)
-        self.bucket_ranges = ranges
-        self.store = ColumnStore(data[perm])
-
-    def _collect(self, node) -> None:
-        if isinstance(node, _Bucket):
-            self.buckets.append(node)
-        else:
-            self._collect(node.left)
-            self._collect(node.right)
+        # materialize: the nonempty buckets, in tree order, become pages
+        buckets: list[_Bucket] = []
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _Split):
+                stack += (node.right, node.left)
+            elif node.points:
+                buckets.append(node)
+        self._lay_out(data, [np.asarray(b.points, dtype=np.int64) for b in buckets])
+        self.lo = np.array([b.lo for b in buckets])
+        self.hi = np.array([b.hi for b in buckets])
+        #: (pages, d): whether the bucket holds NaN in the dimension
+        self.has_nan = np.logical_or.reduceat(np.isnan(self.store.matrix()), self.starts)
 
     def _split_bucket(self, b: _Bucket, data: np.ndarray) -> _Split | None:
         d = self.d
@@ -145,22 +139,16 @@ class GridFile(BaseIndex):
         return _Split(dim, val, left, right)
 
     def _ranges(self, q: Query):
-        # buckets are half-open, but a bucket whose top is +inf holds the
-        # +inf values: a lower bound of +inf cuts at the largest float instead
-        qlo = np.minimum(q.ranges[:, 0], np.finfo(np.float64).max)
-        qhi = q.ranges[:, 1]
-        ranges = []
-        n_buckets = 0
-        for b, (s, e) in zip(self.buckets, self.bucket_ranges):
-            if e <= s:
-                continue
-            if (b.lo > qhi).any() or (b.hi <= qlo).any():
-                continue
-            n_buckets += 1
-            # bucket fully inside the rectangle → every point matches
-            exact = bool((b.lo >= qlo).all() and (b.hi <= qhi).all())
-            ranges.append((s, e, exact))
-        return ranges, n_buckets
+        hit = page_hits(self.lo, self.hi, q, self.half_open)
+        qlo, qhi = q.ranges[:, 0], q.ranges[:, 1]
+        # a bucket inside the rectangle matches on every row, unless it
+        # holds NaN, which matches no filter, in a filtered dimension
+        filtered = (qlo != -np.inf) | (qhi != np.inf)
+        exact = ((self.lo[hit] >= qlo).all(axis=1)
+                 & (self.hi[hit] <= qhi).all(axis=1)
+                 & ~(self.has_nan[hit] & filtered).any(axis=1))
+        return self.starts[hit], self.ends[hit], exact, hit.size
 
     def _index_size_bytes(self) -> int:
-        return int(len(self.buckets) * 16 * self.d + sum(len(x) * 8 for x in self.boundaries))
+        return (super()._index_size_bytes() + self.has_nan.nbytes
+                + 8 * sum(len(x) for x in self.boundaries))

@@ -3,96 +3,63 @@
 Recursively partitions at the median value of one dimension, cycling
 dimensions round-robin in order of decreasing selectivity, until pages
 fall below ``page_size`` points. A dimension whose remaining points are
-all equal is dropped from further partitioning. Leaf pages are
-contiguous; nodes keep the split dim/value and the physical range.
+all equal (or all NaN) is dropped from further partitioning; medians are
+taken over the non-NaN values, and NaN rows go right. Leaf pages are
+contiguous, and each keeps the closed box its splits cut out of
+(-inf, +inf)^d; a query scans the leaves whose box meets the rectangle.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.columnstore.store import ColumnStore
 from repro.core.query import Query
-from repro.indexes.base import BaseIndex, selectivity_order
+from repro.indexes.base import PagedIndex, selectivity_order
 
 
-class _KDNode:
-    __slots__ = ("start", "end", "dim", "val", "left", "right")
-
-    def __init__(self, start, end):
-        self.start, self.end = start, end
-        self.dim = -1
-        self.val = 0.0
-        self.left = self.right = None
-
-
-class KDTree(BaseIndex):
+class KDTree(PagedIndex):
     name = "kdtree"
-
-    def __init__(self, page_size: int = 1024):
-        super().__init__()
-        self.page_size = page_size
-        self.root: _KDNode | None = None
-        self.n_nodes = 0
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
         self.dim_cycle = [int(x) for x in (
             selectivity_order(data, workload) if workload else np.arange(self.d)
         )]
         self._perm_parts: list[np.ndarray] = []
+        self._boxes: list[tuple[np.ndarray, np.ndarray]] = []
         self._data_ref = data
-        self.n_nodes = 0
-        self.root = self._split(np.arange(self.n), 0)
-        perm = np.concatenate(self._perm_parts)
-        self.store = ColumnStore(data[perm])
-        del self._perm_parts, self._data_ref
+        self._split(np.arange(self.n), 0, np.full(self.d, -np.inf), np.full(self.d, np.inf))
+        self._lay_out(data, self._perm_parts)
+        self.lo, self.hi = map(np.array, zip(*self._boxes))
+        del self._perm_parts, self._boxes, self._data_ref
 
-    def _split(self, idx: np.ndarray, depth: int) -> _KDNode:
-        self.n_nodes += 1
-        start = sum(p.size for p in self._perm_parts)
-        node = _KDNode(start, start + idx.size)
-        if idx.size <= self.page_size:
+    def _split(self, idx: np.ndarray, depth: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        cut = self._cut(idx, depth) if idx.size > self.page_size else None
+        if cut is None:
             self._perm_parts.append(idx)
-            return node
-        # pick the next usable dimension in the selectivity cycle
+            self._boxes.append((lo, hi))
+            return
+        dim, med, left = cut
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[dim] = right_lo[dim] = med
+        self._split(idx[left], depth + 1, lo, left_hi)
+        self._split(idx[~left], depth + 1, right_lo, hi)
+
+    def _cut(self, idx: np.ndarray, depth: int) -> tuple[int, float, np.ndarray] | None:
+        """The next usable dimension in the selectivity cycle, its median
+        over the non-NaN values, and the mask of the rows that go left:
+        those < median, or <= median when the split falls on ties. None
+        when no dimension splits the rows."""
         for probe in range(len(self.dim_cycle)):
             dim = self.dim_cycle[(depth + probe) % len(self.dim_cycle)]
             vals = self._data_ref[idx, dim]
-            med = float(np.median(vals))
-            left_mask = vals < med
-            if left_mask.any() and not left_mask.all():
-                break
-            # all-equal (or median at min): try splitting at <= median
-            left_mask = vals <= med
-            if left_mask.any() and not left_mask.all():
-                break
-        else:
-            self._perm_parts.append(idx)
-            return node
-        node.dim, node.val = dim, med
-        node.left = self._split(idx[left_mask], depth + 1)
-        node.right = self._split(idx[~left_mask], depth + 1)
-        return node
-
-    def _ranges(self, q: Query):
-        ranges: list[tuple[int, int, bool]] = []
-        n_pages = 0
-        stack = [self.root]
-        qlo, qhi = q.ranges[:, 0], q.ranges[:, 1]
-        while stack:
-            node = stack.pop()
-            if node.left is None:
-                if node.end > node.start:
-                    ranges.append((node.start, node.end, False))
-                    n_pages += 1
+            known = vals[~np.isnan(vals)]
+            if not known.size:
                 continue
-            # left child holds values < val (or <= when split fell on ties);
-            # visit a side only if the query box can reach it
-            if qlo[node.dim] <= node.val:
-                stack.append(node.left)
-            if qhi[node.dim] >= node.val:
-                stack.append(node.right)
-        ranges.sort()
-        return ranges, n_pages
-
-    def _index_size_bytes(self) -> int:
-        return int(self.n_nodes * 40)  # 2 ptrs + dim + val + range
+            med = float(np.median(known))
+            left = vals < med
+            if left.any() and not left.all():
+                return dim, med, left
+            # all-equal (or median at min): try splitting at <= median
+            left = vals <= med
+            if left.any() and not left.all():
+                return dim, med, left
+        return None

@@ -22,18 +22,15 @@ class UBTree(ZOrderIndex):
         zmin, zmax = self._query_zrange(q)
         s = int(np.searchsorted(self.zvals, zmin, side="left"))
         e = int(np.searchsorted(self.zvals, zmax, side="right"))
-        if e <= s:
-            return [], 0
         ps = self.page_size
         d, bits = self.d, self.bits
-        ranges = []
-        n_pages = 0
+        starts, ends = [], []
         pos = s
         while pos < e:
             page = pos // ps
             p_end = min((page + 1) * ps, e)
-            ranges.append((pos, p_end, False))
-            n_pages += 1
+            starts.append(pos)
+            ends.append(p_end)
             if p_end >= e:
                 break
             # Skip ahead: from the first Z-value after this page, find the
@@ -50,4 +47,6 @@ class UBTree(ZOrderIndex):
             pos = int(np.searchsorted(self.zvals, nz, side="left"))
             if pos < p_end:  # safety: never move backwards
                 pos = p_end
-        return ranges, n_pages
+        n_pages = len(starts)
+        return (np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64),
+                np.zeros(n_pages, dtype=bool), n_pages)

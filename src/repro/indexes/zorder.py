@@ -3,26 +3,23 @@
 Points are ordered by 64-bit Z-value (⌊64/d⌋ bits per dimension,
 interleaved in selectivity order — the most selective dimension
 contributes the least significant bits of each round). Contiguous chunks
-form pages; each page keeps per-dimension min/max. A query binary-searches
-the Z-values of the rectangle's corners and scans every page between them
-whose min/max box intersects the rectangle.
+form pages; each page keeps its minimum bounding rectangle (the min and
+max of its non-NaN values). A query binary-searches the Z-values of the
+rectangle's corners and scans, between them, every page whose box meets
+the rectangle.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.columnstore.store import ColumnStore
 from repro.core.bigmin import interleave, quantize
 from repro.core.query import Query
-from repro.indexes.base import BaseIndex, finite_extent, selectivity_order
+from repro.indexes.base import (PagedIndex, finite_extent, page_hits, page_mbrs,
+                                selectivity_order)
 
 
-class ZOrderIndex(BaseIndex):
+class ZOrderIndex(PagedIndex):
     name = "zorder"
-
-    def __init__(self, page_size: int = 1024):
-        super().__init__()
-        self.page_size = page_size
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
         d = self.d
@@ -34,19 +31,11 @@ class ZOrderIndex(BaseIndex):
         # the grid spans the finite values; ±inf quantize to its edges
         self.mins, self.maxs = finite_extent(data)
         coords = quantize(data, self.mins, self.maxs, self.bits)
-        self.zvals_unsorted = interleave(coords[:, self.dim_order], self.bits)
-        order = np.argsort(self.zvals_unsorted, kind="stable")
-        self.zvals = self.zvals_unsorted[order]
-        self.store = ColumnStore(data[order])
-        ps = self.page_size
-        n_pages = (self.n + ps - 1) // ps
-        self.page_min = np.empty((n_pages, d))
-        self.page_max = np.empty((n_pages, d))
-        m = self.store.matrix()
-        for p in range(n_pages):
-            s, e = p * ps, min((p + 1) * ps, self.n)
-            self.page_min[p] = m[s:e].min(axis=0)
-            self.page_max[p] = m[s:e].max(axis=0)
+        zvals = interleave(coords[:, self.dim_order], self.bits)
+        order = np.argsort(zvals, kind="stable")
+        self.zvals = zvals[order]
+        self._lay_out(data, np.split(order, np.arange(self.page_size, self.n, self.page_size)))
+        self.lo, self.hi = page_mbrs(self.store.matrix(), self.starts)
 
     def _query_zrange(self, q: Query) -> tuple[int, int]:
         lo = np.where(np.isfinite(q.ranges[:, 0]), q.ranges[:, 0], self.mins)
@@ -68,24 +57,10 @@ class ZOrderIndex(BaseIndex):
         e = int(np.searchsorted(self.zvals, zmax, side="right"))
         ps = self.page_size
         p0, p1 = s // ps, (max(e, s + 1) - 1) // ps
-        ranges = []
-        n_pages = 0
-        fdims = q.filtered_dims
-        for p in range(p0, p1 + 1):
-            ok = True
-            for dim in fdims:
-                lo, hi = q.ranges[dim]
-                if self.page_min[p, dim] > hi or self.page_max[p, dim] < lo:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            n_pages += 1
-            rs = max(p * ps, s)
-            re = min((p + 1) * ps, e, self.n)
-            if re > rs:
-                ranges.append((rs, re, False))
-        return ranges, n_pages
+        hit = p0 + page_hits(self.lo[p0:p1 + 1], self.hi[p0:p1 + 1], q, self.half_open)
+        starts = np.maximum(self.starts[hit], s)
+        ends = np.minimum(self.ends[hit], e)
+        return starts, ends, np.zeros(hit.size, dtype=bool), hit.size
 
     def _index_size_bytes(self) -> int:
-        return int(self.zvals.nbytes + self.page_min.nbytes + self.page_max.nbytes)
+        return super()._index_size_bytes() + self.zvals.nbytes

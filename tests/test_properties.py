@@ -340,6 +340,29 @@ def test_flood_index_size_is_cell_table_plus_edges(dq, flatten):
                                       + idx.key.nbytes + idx.sort_keys.nbytes)
 
 
+@given(dataset_and_query())
+@settings(max_examples=20, deadline=None)
+def test_paged_index_size_is_page_arrays(dq):
+    """A paged baseline's metadata is its page table: row ranges that
+    tile the table and one box per page, plus the Grid File's NaN flags
+    and boundaries and Z-order's (and the UB-tree's) Z-values."""
+    data, _ = dq
+    n, d = data.shape
+    for idx in (ZOrderIndex(page_size=16), UBTree(page_size=16), Hyperoctree(page_size=16),
+                KDTree(page_size=16), RStarTree(page_size=16), GridFile(page_size=16)):
+        idx.build(data)
+        pages = idx.starts.size
+        assert idx.starts[0] == 0 and idx.ends[-1] == n and (idx.ends > idx.starts).all()
+        np.testing.assert_array_equal(idx.starts[1:], idx.ends[:-1])
+        assert idx.lo.shape == idx.hi.shape == (pages, d)
+        want = idx.starts.nbytes + idx.ends.nbytes + idx.lo.nbytes + idx.hi.nbytes
+        if isinstance(idx, GridFile):
+            want += idx.has_nan.nbytes + 8 * sum(len(b) for b in idx.boundaries)
+        if isinstance(idx, ZOrderIndex):
+            want += idx.zvals.nbytes
+        assert idx.index_size_bytes() == want, idx.name
+
+
 # -- projection vs the numpy projection it replaced ---------------------------
 def _numpy_project(layout: Layout, edges: list[np.ndarray], nan_free: list[bool], q: Query):
     """``flood.project`` as it was: numpy edges, ``searchsorted`` per bound."""
