@@ -6,11 +6,12 @@ single Z-value, most-significant bits first, cycling dimensions (dimension
 selectivity; the most selective dimension's LSB is the Z-order value's
 LSB" from Appendix A).
 
-``bigmin(z, zmin, zmax)`` returns the smallest Z-value >= z that lies
-inside the query rectangle whose corners have Z-values ``zmin``/``zmax``
-(Tropf & Herzog 1981) — the UB-tree's "skip ahead to the next Z-value
-contained in the query rectangle". Validated exhaustively against brute
-force in tests.
+``bigmin(z, zmin, zmax, d, bits)`` returns, for every Z-value of the
+array ``z``, the smallest Z-value >= it inside the query rectangle whose
+corners have Z-values ``zmin``/``zmax`` (Tropf & Herzog 1981) — the
+UB-tree's "skip ahead to the next Z-value contained in the query
+rectangle", taken at every page start of a query at once. Validated
+against brute force in tests.
 """
 from __future__ import annotations
 
@@ -43,82 +44,46 @@ def quantize(data: np.ndarray, mins: np.ndarray, maxs: np.ndarray, bits: int) ->
     return np.fmax(np.fmin(np.floor(q + 0.5), 2**bits - 1), 0).astype(np.uint64)
 
 
-def bigmin(zcode: int, zmin: int, zmax: int, d: int, bits: int) -> int:
-    """Smallest Z-value in [zmin, zmax]'s rectangle that is >= zcode.
+def bigmin(z: np.ndarray, zmin: int, zmax: int, d: int, bits: int) -> np.ndarray:
+    """For each Z-value of ``z``, the smallest Z-value >= it inside the
+    rectangle whose lower and upper corners have Z-values ``zmin`` and
+    ``zmax``, or -1 where there is none (beyond ``zmax``).
 
-    Returns -1 if no such value exists. All of zcode/zmin/zmax are Z-values
-    produced by :func:`interleave` with the same (d, bits). zmin/zmax are
-    the Z-values of the rectangle's lower-left / upper-right corners; the
-    rectangle is the axis-aligned box between the decoded coordinates.
+    All Z-values come from :func:`interleave` with the same ``(d, bits)``;
+    the result is int64. This is Tropf and Herzog's case analysis run on
+    every element at once, each holding its own restricted corners and
+    candidate. The bits above the first one where ``zmin`` and ``zmax``
+    differ are the same for every Z-value between them, so the walk starts
+    there, and it stops once every element is decided.
     """
-    total = d * bits
-    bm = -1
-    # Walk bits MSB -> LSB. Classic case analysis on (bit of zcode, zmin, zmax).
-    for pos in range(total):
-        shift = total - 1 - pos
-        zb = (zcode >> shift) & 1
-        lb = (zmin >> shift) & 1
-        ub = (zmax >> shift) & 1
-        if zb == 0 and lb == 0 and ub == 0:
-            continue
-        if zb == 0 and lb == 0 and ub == 1:
-            bm = _load(zmin, pos, 1, 0, d, total)  # candidate: min with this bit=1, rest min
-            zmax = _load(zmax, pos, 0, 1, d, total)  # restrict max: bit=0, rest max
-            continue
-        if zb == 0 and lb == 1 and ub == 0:
-            raise ValueError("zmin > zmax in some dimension")
-        if zb == 0 and lb == 1 and ub == 1:
-            return zmin
-        if zb == 1 and lb == 0 and ub == 0:
-            return bm
-        if zb == 1 and lb == 0 and ub == 1:
-            zmin = _load(zmin, pos, 1, 0, d, total)  # restrict min: bit=1, rest min
-            continue
-        if zb == 1 and lb == 1 and ub == 0:
-            raise ValueError("zmin > zmax in some dimension")
-        # zb == 1 and lb == 1 and ub == 1:
-        continue
-    return zcode  # zcode itself is inside the rectangle
-
-
-def _load(z: int, pos: int, bit_val: int, fill: int, d: int, total: int) -> int:
-    """Tropf-Herzog LOAD: in dimension of ``pos``, set the bit at ``pos`` to
-    ``bit_val`` and every lower-significance bit *of that dimension* to
-    ``fill``; other dimensions untouched."""
-    dim = pos % d
-    out = z
-    shift = total - 1 - pos
-    out = (out & ~(1 << shift)) | (bit_val << shift)
-    p = pos + d
-    while p < total:
-        s = total - 1 - p
-        out = (out & ~(1 << s)) | (fill << s)
-        p += d
+    z = np.asarray(z).astype(np.uint64)
+    lo_z, hi_z = np.uint64(zmin), np.uint64(zmax)
+    # below the rectangle the answer is its lowest Z-value, above it none
+    out = np.where(z < lo_z, np.int64(zmin), np.int64(-1))
+    live = np.flatnonzero((z >= lo_z) & (z <= hi_z))
+    z = z[live]
+    out[live] = z  # left undecided, a Z-value is inside the rectangle
+    lo, hi = np.full(z.size, lo_z), np.full(z.size, hi_z)
+    cand = np.zeros(z.size, dtype=np.uint64)
+    for shift in range(int(zmin ^ zmax).bit_length() - 1, -1, -1):
+        if not live.size:
+            break
+        low = sum(1 << s for s in range(shift - d, -1, -d))  # its dimension's lower bits
+        bit, rest = np.uint64(1 << shift), np.uint64(low)
+        keep = np.uint64(~((1 << shift) | low) & 0xFFFF_FFFF_FFFF_FFFF)
+        zb, lb, ub = (z & bit) != 0, (lo & bit) != 0, (hi & bit) != 0
+        # bits of (z, lo, hi) 0,1,1: the answer is the lower corner;
+        # 1,0,0: it is the candidate; 0,0,1: the corners' upper half starts
+        # the next candidate, and the search stays in their lower half;
+        # 1,0,1: the search moves to their upper half
+        to_lo, to_cand = lb & ~zb, zb & ~ub
+        below, above = ub & ~lb & ~zb, ub & ~lb & zb
+        cand = np.where(below, (lo & keep) | bit, cand)
+        hi = np.where(below, (hi & keep) | rest, hi)
+        lo = np.where(above, (lo & keep) | bit, lo)
+        done = to_lo | to_cand
+        if done.any():
+            out[live[to_lo]] = lo[to_lo]
+            out[live[to_cand]] = cand[to_cand]
+            live, z, lo, hi, cand = (a[~done] for a in (live, z, lo, hi, cand))
     return out
-
-
-def zrange_of_query(q_lo: np.ndarray, q_hi: np.ndarray, bits: int) -> tuple[int, int]:
-    """Z-values of the rectangle's lower-left and upper-right corners."""
-    lo = interleave(q_lo.reshape(1, -1), bits)[0]
-    hi = interleave(q_hi.reshape(1, -1), bits)[0]
-    return int(lo), int(hi)
-
-
-def in_rect(z: int, zmin: int, zmax: int, d: int, bits: int) -> bool:
-    """Does Z-value ``z`` decode to coordinates inside the rectangle?"""
-    for dim in range(d):
-        c = _extract(z, dim, d, bits)
-        if not (_extract(zmin, dim, d, bits) <= c <= _extract(zmax, dim, d, bits)):
-            return False
-    return True
-
-
-def _extract(z: int, dim: int, d: int, bits: int) -> int:
-    """Decode one dimension's coordinate from a Z-value."""
-    total = d * bits
-    c = 0
-    for b in range(bits):
-        pos = dim + b * d  # MSB-first position of this dim's b-th bit
-        shift = total - 1 - pos
-        c = (c << 1) | ((z >> shift) & 1)
-    return c

@@ -39,6 +39,8 @@ ALL_INDEXES = BASELINES + ("flood",)
 #: Fig 8's point is that page size barely moves the needle; two candidates
 #: keep tuning honest without dominating harness runtime.
 PAGE_SIZES = (1024, 4096)
+#: the leading train queries each page size is timed on
+TUNE_QUERIES = 10
 
 _PAGED = {
     "zorder": ZOrderIndex,
@@ -98,7 +100,7 @@ def run_workload(index: BaseIndex, workload: list[Query]) -> Metrics:
 
 
 def build_baseline(name: str, data: np.ndarray, train: list[Query],
-                   tune: bool = True, tune_queries: int = 10) -> BaseIndex:
+                   tune: bool = True) -> BaseIndex:
     """Build one baseline, tuning its page size on the train workload."""
     if name == "full_scan":
         return FullScan().build(data, train)
@@ -107,7 +109,7 @@ def build_baseline(name: str, data: np.ndarray, train: list[Query],
     cls = _PAGED[name]
     if not tune:
         return cls().build(data, train)
-    sub = train[:tune_queries]
+    sub = train[:TUNE_QUERIES]
     best = None
     for ps in PAGE_SIZES:
         idx = cls(page_size=ps).build(data, train)

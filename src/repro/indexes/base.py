@@ -13,8 +13,9 @@ Every index (Flood and the seven §7.2 baselines) is:
 The paged baselines (k-d tree, hyperoctree, R-tree, Grid File, Z-order
 and the UB-tree) are :class:`PagedIndex` subclasses: however they cut
 space into pages, they store the pages as flat arrays, and one vectorized
-box test, :func:`page_hits`, finds the pages a query rectangle meets (the
-UB-tree alone skips through its Z-values instead).
+box test, :func:`page_hits`, finds the pages a query rectangle meets. The
+UB-tree alone keeps no boxes: one array BIGMIN over its page starts finds
+where its scan skips to.
 
 An empty ``(0, d)`` table is handled here, once for every index: build
 stores it without laying it out, every query scans no range, and its

@@ -30,27 +30,25 @@ class Hyperoctree(PagedIndex):
         # midpoints split the finite values: box edges are clamped to
         # them first, so ±inf rows stay in the edge octants
         flo, fhi = finite_extent(data)
-        self._finite = (flo, np.nextafter(fhi, np.inf))
-        self._perm_parts: list[np.ndarray] = []
-        self._boxes: list[tuple[np.ndarray, np.ndarray]] = []
-        self._data_ref = data
-        self._split(np.arange(self.n), lo, hi, lo, hi, depth=0)
-        self._lay_out(data, self._perm_parts)
-        self.lo, self.hi = map(np.array, zip(*self._boxes))
-        del self._perm_parts, self._boxes, self._data_ref
+        finite = (flo, np.nextafter(fhi, np.inf))
+        parts, box_lo, box_hi = zip(*self._leaves(data, finite, np.arange(self.n), lo, hi,
+                                                  lo, hi, depth=0))
+        self._lay_out(data, list(parts))
+        self.lo, self.hi = np.array(box_lo), np.array(box_hi)
 
-    def _split(self, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               box_lo: np.ndarray, box_hi: np.ndarray, depth: int) -> None:
-        """Split the node of rows ``idx`` and box ``[lo, hi)``; ``box_lo``
-        and ``box_hi`` cut that box to its ancestors' boxes (a midpoint of
-        clamped edges can fall outside a box that holds only ±inf)."""
+    def _leaves(self, data: np.ndarray, finite: tuple[np.ndarray, np.ndarray], idx: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray,
+                depth: int):
+        """The leaves under the node of rows ``idx`` and box ``[lo, hi)``,
+        in order, as (rows, box_lo, box_hi): ``box_lo`` and ``box_hi`` cut
+        that box to its ancestors' boxes (a midpoint of edges clamped to
+        the ``finite`` extent can fall outside a box that holds only ±inf)."""
         if idx.size <= self.page_size or depth >= MAX_DEPTH:
-            self._perm_parts.append(idx)
-            self._boxes.append((box_lo, box_hi))
+            yield idx, box_lo, box_hi
             return
-        flo, fhi = self._finite
+        flo, fhi = finite
         mid = (np.clip(lo, flo, fhi) + np.clip(hi, flo, fhi)) / 2
-        pts = self._data_ref[idx]
+        pts = data[idx]
         # hyperoctant code: bit j set iff point >= mid in dim j
         codes = ((pts >= mid) << np.arange(self.d)).sum(axis=1)
         order = np.argsort(codes, kind="stable")
@@ -63,5 +61,5 @@ class Hyperoctree(PagedIndex):
                 continue
             clo = np.where((c >> np.arange(self.d)) & 1, mid, lo)
             chi = np.where((c >> np.arange(self.d)) & 1, hi, mid)
-            self._split(idx_sorted[s:e], clo, chi, np.maximum(box_lo, clo),
-                        np.minimum(box_hi, chi), depth + 1)
+            yield from self._leaves(data, finite, idx_sorted[s:e], clo, chi,
+                                    np.maximum(box_lo, clo), np.minimum(box_hi, chi), depth + 1)

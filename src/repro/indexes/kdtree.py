@@ -23,34 +23,34 @@ class KDTree(PagedIndex):
         self.dim_cycle = [int(x) for x in (
             selectivity_order(data, workload) if workload else np.arange(self.d)
         )]
-        self._perm_parts: list[np.ndarray] = []
-        self._boxes: list[tuple[np.ndarray, np.ndarray]] = []
-        self._data_ref = data
-        self._split(np.arange(self.n), 0, np.full(self.d, -np.inf), np.full(self.d, np.inf))
-        self._lay_out(data, self._perm_parts)
-        self.lo, self.hi = map(np.array, zip(*self._boxes))
-        del self._perm_parts, self._boxes, self._data_ref
+        parts, lo, hi = zip(*self._leaves(data, np.arange(self.n), 0, np.full(self.d, -np.inf),
+                                          np.full(self.d, np.inf)))
+        self._lay_out(data, list(parts))
+        self.lo, self.hi = np.array(lo), np.array(hi)
 
-    def _split(self, idx: np.ndarray, depth: int, lo: np.ndarray, hi: np.ndarray) -> None:
-        cut = self._cut(idx, depth) if idx.size > self.page_size else None
+    def _leaves(self, data: np.ndarray, idx: np.ndarray, depth: int, lo: np.ndarray,
+                hi: np.ndarray):
+        """The leaves under the node of rows ``idx`` and box ``[lo, hi]``,
+        in order, as (rows, lo, hi)."""
+        cut = self._cut(data, idx, depth) if idx.size > self.page_size else None
         if cut is None:
-            self._perm_parts.append(idx)
-            self._boxes.append((lo, hi))
+            yield idx, lo, hi
             return
         dim, med, left = cut
         left_hi, right_lo = hi.copy(), lo.copy()
         left_hi[dim] = right_lo[dim] = med
-        self._split(idx[left], depth + 1, lo, left_hi)
-        self._split(idx[~left], depth + 1, right_lo, hi)
+        yield from self._leaves(data, idx[left], depth + 1, lo, left_hi)
+        yield from self._leaves(data, idx[~left], depth + 1, right_lo, hi)
 
-    def _cut(self, idx: np.ndarray, depth: int) -> tuple[int, float, np.ndarray] | None:
+    def _cut(self, data: np.ndarray, idx: np.ndarray,
+             depth: int) -> tuple[int, float, np.ndarray] | None:
         """The next usable dimension in the selectivity cycle, its median
         over the non-NaN values, and the mask of the rows that go left:
         those < median, or <= median when the split falls on ties. None
         when no dimension splits the rows."""
         for probe in range(len(self.dim_cycle)):
             dim = self.dim_cycle[(depth + probe) % len(self.dim_cycle)]
-            vals = self._data_ref[idx, dim]
+            vals = data[idx, dim]
             known = vals[~np.isnan(vals)]
             if not known.size:
                 continue

@@ -22,6 +22,11 @@ class ZOrderIndex(PagedIndex):
     name = "zorder"
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
+        self._lay_out_z(data, workload)
+        self.lo, self.hi = page_mbrs(self.store.matrix(), self.starts)
+
+    def _lay_out_z(self, data: np.ndarray, workload: list[Query]) -> None:
+        """Sort the rows by Z-value into pages, keeping the sorted ``zvals``."""
         d = self.d
         self.bits = min(63 // d, 16)
         # dim_order[0] = most selective → assign it the last (least
@@ -35,7 +40,6 @@ class ZOrderIndex(PagedIndex):
         order = np.argsort(zvals, kind="stable")
         self.zvals = zvals[order]
         self._lay_out(data, np.split(order, np.arange(self.page_size, self.n, self.page_size)))
-        self.lo, self.hi = page_mbrs(self.store.matrix(), self.starts)
 
     def _query_zrange(self, q: Query) -> tuple[int, int]:
         lo = np.where(np.isfinite(q.ranges[:, 0]), q.ranges[:, 0], self.mins)

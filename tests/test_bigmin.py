@@ -1,10 +1,15 @@
-"""Z-order encode/decode and BIGMIN, validated exhaustively vs brute force."""
+"""Z-order encode/decode and BIGMIN, validated exhaustively vs brute force;
+the array BIGMIN and the UB-tree's ranges against the scalar BIGMIN and
+the per-page walk they replaced."""
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.core.bigmin import bigmin, in_rect, interleave, quantize, zrange_of_query
+from repro import datasets
+from repro.core.bigmin import bigmin, interleave, quantize
+from repro.indexes.ubtree import UBTree
+from repro.workloads import make_workload
 
 
 def brute_zvals(d, bits):
@@ -12,6 +17,133 @@ def brute_zvals(d, bits):
     return coords, interleave(coords, bits)
 
 
+def corners(lo, hi, bits):
+    return int(interleave(lo.reshape(1, -1), bits)[0]), int(interleave(hi.reshape(1, -1), bits)[0])
+
+
+# -- the scalar BIGMIN and the UB-tree's per-page walk, as they were ----------
+def _reference_bigmin(zcode: int, zmin: int, zmax: int, d: int, bits: int) -> int:
+    """Smallest Z-value in [zmin, zmax]'s rectangle that is >= zcode.
+
+    Returns -1 if no such value exists. All of zcode/zmin/zmax are Z-values
+    produced by :func:`interleave` with the same (d, bits). zmin/zmax are
+    the Z-values of the rectangle's lower-left / upper-right corners; the
+    rectangle is the axis-aligned box between the decoded coordinates.
+    """
+    total = d * bits
+    bm = -1
+    # Walk bits MSB -> LSB. Classic case analysis on (bit of zcode, zmin, zmax).
+    for pos in range(total):
+        shift = total - 1 - pos
+        zb = (zcode >> shift) & 1
+        lb = (zmin >> shift) & 1
+        ub = (zmax >> shift) & 1
+        if zb == 0 and lb == 0 and ub == 0:
+            continue
+        if zb == 0 and lb == 0 and ub == 1:
+            bm = _load(zmin, pos, 1, 0, d, total)  # candidate: min with this bit=1, rest min
+            zmax = _load(zmax, pos, 0, 1, d, total)  # restrict max: bit=0, rest max
+            continue
+        if zb == 0 and lb == 1 and ub == 0:
+            raise ValueError("zmin > zmax in some dimension")
+        if zb == 0 and lb == 1 and ub == 1:
+            return zmin
+        if zb == 1 and lb == 0 and ub == 0:
+            return bm
+        if zb == 1 and lb == 0 and ub == 1:
+            zmin = _load(zmin, pos, 1, 0, d, total)  # restrict min: bit=1, rest min
+            continue
+        if zb == 1 and lb == 1 and ub == 0:
+            raise ValueError("zmin > zmax in some dimension")
+        # zb == 1 and lb == 1 and ub == 1:
+        continue
+    return zcode  # zcode itself is inside the rectangle
+
+
+def _load(z: int, pos: int, bit_val: int, fill: int, d: int, total: int) -> int:
+    """Tropf-Herzog LOAD: in dimension of ``pos``, set the bit at ``pos`` to
+    ``bit_val`` and every lower-significance bit *of that dimension* to
+    ``fill``; other dimensions untouched."""
+    dim = pos % d
+    out = z
+    shift = total - 1 - pos
+    out = (out & ~(1 << shift)) | (bit_val << shift)
+    p = pos + d
+    while p < total:
+        s = total - 1 - p
+        out = (out & ~(1 << s)) | (fill << s)
+        p += d
+    return out
+
+
+def _reference_in_rect(z: int, zmin: int, zmax: int, d: int, bits: int) -> bool:
+    """Does Z-value ``z`` decode to coordinates inside the rectangle?"""
+    for dim in range(d):
+        c = _extract(z, dim, d, bits)
+        if not (_extract(zmin, dim, d, bits) <= c <= _extract(zmax, dim, d, bits)):
+            return False
+    return True
+
+
+def _extract(z: int, dim: int, d: int, bits: int) -> int:
+    """Decode one dimension's coordinate from a Z-value."""
+    total = d * bits
+    c = 0
+    for b in range(bits):
+        pos = dim + b * d  # MSB-first position of this dim's b-th bit
+        shift = total - 1 - pos
+        c = (c << 1) | ((z >> shift) & 1)
+    return c
+
+
+def _reference_ranges(self, q):
+    """``UBTree._ranges`` as a walk over the pages, one scalar BIGMIN per
+    page it leaves."""
+    zmin, zmax = self._query_zrange(q)
+    s = int(np.searchsorted(self.zvals, zmin, side="left"))
+    e = int(np.searchsorted(self.zvals, zmax, side="right"))
+    ps = self.page_size
+    d, bits = self.d, self.bits
+    starts, ends = [], []
+    pos = s
+    while pos < e:
+        page = pos // ps
+        p_end = min((page + 1) * ps, e)
+        starts.append(pos)
+        ends.append(p_end)
+        if p_end >= e:
+            break
+        # Skip ahead: from the first Z-value after this page, find the
+        # next Z-value that re-enters the query rectangle and jump to
+        # the page containing it (via the per-page minimum Z-values —
+        # here directly by binary search on the sorted Z column).
+        z_next = int(self.zvals[p_end])
+        if _reference_in_rect(z_next, zmin, zmax, d, bits):
+            pos = p_end
+            continue
+        nz = _reference_bigmin(z_next, zmin, zmax, d, bits)
+        if nz < 0 or nz > zmax:
+            break
+        pos = int(np.searchsorted(self.zvals, nz, side="left"))
+        if pos < p_end:  # safety: never move backwards
+            pos = p_end
+    n_pages = len(starts)
+    return (np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64),
+            np.zeros(n_pages, dtype=bool), n_pages)
+
+
+def assert_ranges_match_walk(idx: UBTree, q) -> None:
+    """The UB-tree's ranges are the walk's, whenever it is asked for them."""
+    if not (q.ranges[:, 0] <= q.ranges[:, 1]).all():
+        return  # an empty range: the index never asks for ranges
+    starts, ends, exact, n_cells = idx._ranges(q)
+    want_starts, want_ends, _, want_cells = _reference_ranges(idx, q)
+    np.testing.assert_array_equal(starts, want_starts)
+    np.testing.assert_array_equal(ends, want_ends)
+    assert n_cells == want_cells and not exact.any()
+
+
+# -- encoding -----------------------------------------------------------------
 def test_interleave_2d_known_values():
     # classic Morton order for 2-bit 2D: (x,y) -> z with dim0 as MSB of each pair
     coords = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
@@ -37,40 +169,71 @@ def test_quantize_degenerate_dim():
     assert (q == 0).all()
 
 
-@pytest.mark.parametrize("d,bits", [(2, 3), (2, 4), (3, 2), (4, 2)])
+# -- the array BIGMIN ---------------------------------------------------------
+@pytest.mark.parametrize("d,bits", [(2, 3), (2, 4), (3, 2), (4, 2), (1, 5)])
 def test_bigmin_matches_brute_force(d, bits):
+    """Every Z-value of the grid at once, the rectangle decided from the
+    decoded coordinates."""
     coords, z = brute_zvals(d, bits)
     order = np.argsort(z)
-    z_sorted = z[order]
+    coords, z = coords[order], z[order]
     rng = np.random.default_rng(d * 100 + bits)
     for _ in range(40):
         lo = rng.integers(0, 2**bits, d)
         hi = np.minimum(lo + rng.integers(0, 2**bits, d), 2**bits - 1)
-        zmin, zmax = zrange_of_query(lo, hi, bits)
-        in_mask = np.array([in_rect(int(v), zmin, zmax, d, bits) for v in z_sorted])
-        for zc in rng.integers(0, 2 ** (d * bits), 15):
-            zc = int(zc)
-            cand = z_sorted[(z_sorted >= zc) & in_mask]
-            expect = int(cand[0]) if cand.size else None
-            if zc > zmax:
-                continue  # callers never ask beyond zmax
-            got = bigmin(zc, zmin, zmax, d, bits)
-            if expect is None:
-                assert got in (-1, zc) or not in_rect(got, zmin, zmax, d, bits)
-            else:
-                assert got == expect, (zc, zmin, zmax, d, bits)
+        zmin, zmax = corners(lo, hi, bits)
+        inside = ((coords >= lo) & (coords <= hi)).all(axis=1)
+        # the next Z-value inside, at or after each position; -1 past the last
+        nxt = np.where(inside, z, -1)
+        for i in range(z.size - 2, -1, -1):
+            if nxt[i] < 0:
+                nxt[i] = nxt[i + 1]
+        np.testing.assert_array_equal(bigmin(z, zmin, zmax, d, bits), nxt,
+                                      err_msg=str((lo, hi)))
+
+
+@pytest.mark.parametrize("d,bits", [(1, 16), (3, 16), (7, 9)])
+def test_bigmin_matches_scalar_reference_at_index_widths(d, bits):
+    """The widest layouts the indexes use: d=1 at 16 bits, d=3 at 16 and
+    d=7 at 9, on Z-values sampled inside, below and beyond the corners."""
+    rng = np.random.default_rng(d * 1000 + bits)
+    no_successor = 0
+    for _ in range(30):
+        lo = rng.integers(0, 2**bits, d)
+        hi = np.minimum(lo + rng.integers(0, 2**bits, d), 2**bits - 1)
+        zmin, zmax = corners(lo, hi, bits)
+        z = np.r_[rng.integers(zmin, zmax + 1, 200), zmin, zmax,
+                  rng.integers(0, zmin + 1, 5), rng.integers(zmax, 2 ** (d * bits), 5)]
+        got = bigmin(z, zmin, zmax, d, bits)
+        want = [_reference_bigmin(int(v), zmin, zmax, d, bits) for v in z]
+        np.testing.assert_array_equal(got, want)
+        no_successor += (got == -1).sum()
+    assert no_successor
 
 
 def test_in_rect_corners():
+    """The corners lie inside the rectangle, so BIGMIN keeps each."""
     lo = np.array([1, 2])
     hi = np.array([5, 6])
-    zmin, zmax = zrange_of_query(lo, hi, 3)
-    assert in_rect(zmin, zmin, zmax, 2, 3)
-    assert in_rect(zmax, zmin, zmax, 2, 3)
+    zmin, zmax = corners(lo, hi, 3)
+    assert bigmin(np.array([zmin, zmax]), zmin, zmax, 2, 3).tolist() == [zmin, zmax]
 
 
 def test_bigmin_inside_returns_self():
     lo = np.array([0, 0])
     hi = np.array([7, 7])
-    zmin, zmax = zrange_of_query(lo, hi, 3)
-    assert bigmin(13, zmin, zmax, 2, 3) == 13
+    zmin, zmax = corners(lo, hi, 3)
+    assert bigmin(np.array([13]), zmin, zmax, 2, 3).tolist() == [13]
+
+
+# -- the UB-tree's ranges -----------------------------------------------------
+@pytest.mark.parametrize("name", ["sales", "tpch", "osm", "perfmon"])
+def test_ubtree_ranges_match_walk_on_test_workloads(name):
+    """Table 2's test workload at test scale, at page sizes 64, 1024, 4096."""
+    data, _ = datasets.load(name, n=datasets.TEST_ROWS[name])
+    train = make_workload(data, name, 100, seed=1)
+    test = make_workload(data, name, 100, seed=2)
+    for ps in (64, 1024, 4096):
+        idx = UBTree(page_size=ps).build(data, train)
+        for q in test:
+            assert_ranges_match_walk(idx, q)

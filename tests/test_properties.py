@@ -20,6 +20,7 @@ from repro.indexes.kdtree import KDTree
 from repro.indexes.rstar import RStarTree
 from repro.indexes.ubtree import UBTree
 from repro.indexes.zorder import ZOrderIndex
+from tests.test_bigmin import assert_ranges_match_walk
 
 
 @st.composite
@@ -163,6 +164,28 @@ def test_every_index_equals_brute_force_on_adversarial_inputs(case):
                 want = math.fsum(x)
                 assert (abs(r.value - want) <= 1e-9 * math.fsum(np.abs(x))
                         or np.isnan(want) and np.isnan(r.value)), (idx.name, q.ranges)
+
+
+@st.composite
+def ubtree_case(draw):
+    """The inputs above with some ±inf values too, at page size 1 or 8."""
+    data, _, queries = draw(every_index_case())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    inf = rng.random(data.shape) < draw(st.sampled_from([0.0, 0.1]))
+    data[inf] = rng.choice([-np.inf, np.inf], inf.sum())
+    return data, queries, draw(st.sampled_from([1, 8]))
+
+
+@given(ubtree_case())
+@settings(max_examples=150, deadline=None)
+def test_ubtree_ranges_match_walk_on_adversarial_inputs(case):
+    """The UB-tree's array BIGMIN ranges are the per-page walk's, and its
+    counts are brute force's."""
+    data, queries, page_size = case
+    idx = UBTree(page_size=page_size).build(data, queries)
+    for q in queries:
+        assert_ranges_match_walk(idx, q)
+        assert idx.query(q).n_matched == q.mask(data).sum(), q.ranges
 
 
 def test_flood_sort_only_filters_exact_on_ten_thousand_cells():
@@ -345,7 +368,8 @@ def test_flood_index_size_is_cell_table_plus_edges(dq, flatten):
 def test_paged_index_size_is_page_arrays(dq):
     """A paged baseline's metadata is its page table: row ranges that
     tile the table and one box per page, plus the Grid File's NaN flags
-    and boundaries and Z-order's (and the UB-tree's) Z-values."""
+    and boundaries and Z-order's Z-values. The UB-tree keeps no boxes,
+    only its row ranges and Z-values."""
     data, _ = dq
     n, d = data.shape
     for idx in (ZOrderIndex(page_size=16), UBTree(page_size=16), Hyperoctree(page_size=16),
@@ -354,6 +378,11 @@ def test_paged_index_size_is_page_arrays(dq):
         pages = idx.starts.size
         assert idx.starts[0] == 0 and idx.ends[-1] == n and (idx.ends > idx.starts).all()
         np.testing.assert_array_equal(idx.starts[1:], idx.ends[:-1])
+        if isinstance(idx, UBTree):
+            assert not hasattr(idx, "lo") and not hasattr(idx, "hi")
+            assert idx.index_size_bytes() == (idx.starts.nbytes + idx.ends.nbytes
+                                              + idx.zvals.nbytes)
+            continue
         assert idx.lo.shape == idx.hi.shape == (pages, d)
         want = idx.starts.nbytes + idx.ends.nbytes + idx.lo.nbytes + idx.hi.nbytes
         if isinstance(idx, GridFile):
