@@ -2,8 +2,9 @@
 
 Every index in this reproduction is a *layout* (a permutation of the rows
 into a physical order plus page/cell metadata) over one ``ColumnStore``.
-The store executes the scan step shared by all indexes and keeps the
-counters the paper's Table 2 reports:
+The store executes the scan step shared by all indexes and returns the
+query's :class:`~repro.core.query.QueryResult` holding the counters the
+paper's Table 2 reports (the index adds its own time and cell count):
 
 * scanned points (→ scan overhead SO = scanned / matched),
 * scan wall time (ST; per-point TPS = ST / scanned),
@@ -32,11 +33,10 @@ from __future__ import annotations
 import math
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.query import AGG_SUM, Query
+from repro.core.query import AGG_SUM, Query, QueryResult
 
 #: exact-range SUMs from prefix sums keep at most this relative error
 SUM_RTOL = 1e-10
@@ -115,16 +115,6 @@ def _take(col: np.ndarray, slices: list[slice]) -> np.ndarray:
     return np.concatenate([col[s] for s in slices])
 
 
-@dataclass
-class ScanStats:
-    value: float
-    n_scanned: int
-    n_matched: int
-    n_exact: int
-    n_ranges: int  # nonempty ranges scanned
-    scan_time: float
-
-
 class ColumnStore:
     """Columnar storage of an (n, d) matrix in a fixed physical order."""
 
@@ -150,10 +140,11 @@ class ColumnStore:
         return np.column_stack(self.cols)
 
     def scan(self, starts: np.ndarray, ends: np.ndarray, exact: np.ndarray,
-             q: Query, met_dim: int | None = None) -> ScanStats:
+             q: Query, met_dim: int | None = None) -> QueryResult:
         """Scan the physical ranges ``[starts[k], ends[k])``; ranges with
         ``exact[k]`` skip filter checks (§7.1), and empty or inverted ones
-        scan nothing. Returns the aggregate and counters.
+        scan nothing. Returns the query's record with the aggregate, the
+        counters and ``scan_time`` filled in.
 
         ``met_dim`` names the one dimension whose filter every row of the
         ranges already meets, as the index located them exactly in it
@@ -247,7 +238,7 @@ class ColumnStore:
                 with (np.errstate(invalid="ignore") if self._both_infs[q.agg_dim]
                       else nullcontext()):
                     total += float(vals.sum())
-        return ScanStats(
+        return QueryResult(
             value=total,
             n_scanned=n_scanned,
             n_matched=n_matched,
@@ -257,7 +248,7 @@ class ColumnStore:
         )
 
     def scan_gather(self, idx: np.ndarray, exact_mask: np.ndarray,
-                    q: Query) -> ScanStats:
+                    q: Query) -> QueryResult:
         """Scan an explicit physical-position array (a gather twin of
         :meth:`scan`). No index calls it; the benchmark tracer in
         ``perfbench/`` still wraps it by name.
@@ -295,7 +286,7 @@ class ColumnStore:
             n_matched += k
             if not want_sum:
                 total += k
-        return ScanStats(
+        return QueryResult(
             value=total,
             n_scanned=n_scanned,
             n_matched=n_matched,

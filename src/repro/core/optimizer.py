@@ -135,8 +135,7 @@ def optimize_layout(data: np.ndarray, workload: list[Query], cost_model: CostMod
     for sort_dim in range(d):
         grid = [x for x in sel if x != sort_dim]
         order = grid + [sort_dim]
-        cols = _descend(order, n, d, max_cells, cost_of)
-        c = cost_of(order, cols)
+        cols, c = _descend(order, n, d, max_cells, cost_of)
         per_sort[sort_dim] = c
         if best is None or c < best[0]:
             best = (c, Layout(order=order, cols=cols))
@@ -148,10 +147,12 @@ def optimize_layout(data: np.ndarray, workload: list[Query], cost_model: CostMod
     )
 
 
-def _descend(order: list[int], n: int, d: int, max_cells: int, cost_of) -> list[int]:
-    """Multiplicative coordinate descent over integer column counts."""
+def _descend(order: list[int], n: int, d: int, max_cells: int,
+             cost_of) -> tuple[list[int], float]:
+    """Multiplicative coordinate descent over integer column counts; the
+    best column counts found and their cost."""
     if d == 1:
-        return []
+        return [], cost_of(order, [])
     c0 = max(1, int(round((max(n // 64, 1)) ** (1 / (d - 1)))))
     cols = [c0] * (d - 1)
     best_cost = cost_of(order, cols)
@@ -171,4 +172,4 @@ def _descend(order: list[int], n: int, d: int, max_cells: int, cost_of) -> list[
                     improved = True
         if not improved:
             break
-    return cols
+    return cols, best_cost

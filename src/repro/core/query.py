@@ -74,6 +74,11 @@ def query_from_dict(d: int, bounds: dict[int, tuple[float, float]],
 class QueryResult:
     """Outcome of running one query through an index.
 
+    The column store's scan makes the record and fills in what it counts
+    and times (``value`` through ``n_ranges``, ``scan_time``); the index
+    then adds what it measured itself: ``index_time``, ``n_cells`` and,
+    for Flood, its phase times in ``extra``.
+
     Timing fields are in seconds; SO/TPS/ST/IT/TT for Table 2 derive from
     these: SO = n_scanned / n_matched, ST = scan_time, IT = index_time,
     TT = index_time + scan_time, TPS = scan_time / n_scanned.
@@ -82,8 +87,8 @@ class QueryResult:
     value: float
     n_matched: int
     n_scanned: int
-    index_time: float
-    scan_time: float
+    index_time: float = 0.0
+    scan_time: float = 0.0
     n_cells: int = 0
     n_exact: int = 0  # points scanned inside exact sub-ranges (§7.1)
     n_ranges: int = 0  # nonempty physical ranges scanned

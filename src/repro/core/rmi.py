@@ -90,10 +90,14 @@ class RMI:
         """Predicted (possibly fractional) rank of each value; clipped to [0, n-1]."""
         v = np.atleast_1d(np.asarray(v, dtype=np.float64))
         e = self._route(v)
-        # a value far outside the keys would overflow the product; beyond
-        # them the prediction is the nearest key's
+        # beyond the keys the prediction is the nearest key's. A value far
+        # from its own leaf's keys can still overflow the product (1e300
+        # routed to a steep leaf of tiny keys): it saturates to ±inf and
+        # clips to the first or last rank, which the lookup's error window
+        # check then corrects
         v = np.clip(v, self.lo, self.hi)
-        return np.clip(self._slope[e] * v + self._icept[e], 0, self.n - 1)
+        with np.errstate(over="ignore"):
+            return np.clip(self._slope[e] * v + self._icept[e], 0, self.n - 1)
 
     def max_error(self, v: np.ndarray | float) -> np.ndarray:
         """Per-value bound on |predicted rank − true rank| (for local search)."""

@@ -6,9 +6,10 @@ Every index (Flood and the seven §7.2 baselines) is:
   the rows), materialize a :class:`ColumnStore` in that order, and record
   whatever metadata (pages, cells, trees) the index needs; and
 * ``query(q)`` — translate a :class:`Query` into arrays of physical
-  ``(starts, ends, exact)`` ranges (timed as the paper's *index time* IT),
-  hand them to the store's scan (timed as *scan time* ST), and return a
-  :class:`QueryResult`.
+  ``(starts, ends, exact)`` ranges (timed as the paper's *index time* IT)
+  and hand them to the store's scan, which returns the query's
+  :class:`QueryResult` with its counts and *scan time* ST; the index sets
+  its own fields, IT and the visited cell count, on that record.
 
 The paged baselines (k-d tree, hyperoctree, R-tree, Grid File, Z-order
 and the UB-tree) are :class:`PagedIndex` subclasses: however they cut
@@ -86,17 +87,9 @@ class BaseIndex:
         starts, ends, exact, n_cells = (self._ranges(q) if self.n and (lo <= hi).all()
                                         else NO_RANGES)
         index_time = time.perf_counter() - t0
-        stats = self.store.scan(starts, ends, exact, q, self.met_dim)
-        return QueryResult(
-            value=stats.value,
-            n_matched=stats.n_matched,
-            n_scanned=stats.n_scanned,
-            index_time=index_time,
-            scan_time=stats.scan_time,
-            n_cells=n_cells,
-            n_exact=stats.n_exact,
-            n_ranges=stats.n_ranges,
-        )
+        r = self.store.scan(starts, ends, exact, q, self.met_dim)
+        r.index_time, r.n_cells = index_time, n_cells
+        return r
 
     def _ranges(self, q: Query) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Physical ranges to scan, as ``starts`` and ``ends`` (int64) and

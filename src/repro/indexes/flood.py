@@ -21,10 +21,12 @@ column store, one column slice per range, with ranges proven exact
 skipping per-point checks (§7.1) and every range skipping the sort-dim
 check, which refinement has made exact.
 
-Projection and refinement times are exposed in ``QueryResult.extra``
-(``proj_time``, ``refine_time``): they are the cost model's w_p and w_r
-targets (§4.1.1). Its features come from the typed counts of
-``QueryResult`` and the layout (``repro.core.cost_model.measured_features``).
+The scan returns the query's ``QueryResult``; Flood sets on it its index
+time, its visited cell count and, in ``extra``, its projection and
+refinement times (``proj_time``, ``refine_time``): they are the cost
+model's w_p and w_r targets (§4.1.1). Its features come from the typed
+counts of ``QueryResult`` and the layout
+(``repro.core.cost_model.measured_features``).
 """
 from __future__ import annotations
 
@@ -278,18 +280,10 @@ class FloodIndex(BaseIndex):
         t2 = time.perf_counter()
 
         # refinement cut the sort dim exactly, so its check is skipped
-        stats = self.store.scan(starts, ends, exact, q, self.layout.sort_dim)
-        return QueryResult(
-            value=stats.value,
-            n_matched=stats.n_matched,
-            n_scanned=stats.n_scanned,
-            index_time=t2 - t0,
-            scan_time=stats.scan_time,
-            n_cells=cells.size,
-            n_exact=stats.n_exact,
-            n_ranges=stats.n_ranges,
-            extra={"proj_time": t1 - t0, "refine_time": t2 - t1},
-        )
+        r = self.store.scan(starts, ends, exact, q, self.layout.sort_dim)
+        r.index_time, r.n_cells = t2 - t0, cells.size
+        r.extra = {"proj_time": t1 - t0, "refine_time": t2 - t1}
+        return r
 
     def _refine(self, lo: float, hi: float, cells: np.ndarray, interior_ok: np.ndarray):
         """Refinement over the sort dimension (§3.2.2) to its range

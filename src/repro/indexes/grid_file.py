@@ -59,10 +59,10 @@ class GridFile(PagedIndex):
         # midpoints split the finite values: box edges are clamped to
         # them first, so ±inf rows stay in the edge buckets
         flo, fhi = finite_extent(data)
-        self._finite = (flo, np.nextafter(fhi, np.inf))
+        finite = (flo, np.nextafter(fhi, np.inf))
         self.boundaries: list[list[float]] = [[] for _ in range(d)]
         tree: _Split | _Bucket = _Bucket(lo, hi)
-        self.n_buckets = 1
+        n_buckets = 1
         for i in range(self.n):  # incremental, as specified
             p = data[i]
             node = tree
@@ -77,12 +77,14 @@ class GridFile(PagedIndex):
             if (
                 len(node.points) > self.page_size
                 and node.cycle >= 0  # -1 marks a bucket proven unsplittable
-                and self.n_buckets < MAX_BUCKETS
+                and n_buckets < MAX_BUCKETS
             ):
-                split = self._split_bucket(node, data)
+                split = self._split_bucket(node, data, finite)
                 if split is None:
                     node.cycle = -1
-                elif parent is None:
+                    continue
+                n_buckets += 1
+                if parent is None:
                     tree = split
                 else:
                     setattr(parent, side, split)
@@ -101,7 +103,11 @@ class GridFile(PagedIndex):
         #: (pages, d): whether the bucket holds NaN in the dimension
         self.has_nan = np.logical_or.reduceat(np.isnan(self.store.matrix()), self.starts)
 
-    def _split_bucket(self, b: _Bucket, data: np.ndarray) -> _Split | None:
+    def _split_bucket(self, b: _Bucket, data: np.ndarray,
+                      finite: tuple[np.ndarray, np.ndarray]) -> _Split | None:
+        """Split bucket ``b`` in two, or None when its region cannot be
+        split; ``finite`` is the finite values' extent, with an exclusive
+        top, that midpoints are taken within."""
         d = self.d
         dim = val = None
         # (1) an existing block boundary strictly inside the bucket, dims
@@ -116,7 +122,7 @@ class GridFile(PagedIndex):
                 break
         if dim is None:
             # (2) new grid column at the midpoint of the round-robin dim
-            flo, fhi = self._finite
+            flo, fhi = finite
             mids = (np.clip(b.lo, flo, fhi) + np.clip(b.hi, flo, fhi)) / 2
             for probe in range(d):
                 k = (b.cycle + probe) % d
@@ -135,7 +141,6 @@ class GridFile(PagedIndex):
         right = _Bucket(r_lo, b.hi.copy(), cycle=(dim + 1) % d)
         left.points = pts[mask].tolist()
         right.points = pts[~mask].tolist()
-        self.n_buckets += 1
         return _Split(dim, val, left, right)
 
     def _ranges(self, q: Query):

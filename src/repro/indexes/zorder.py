@@ -42,17 +42,17 @@ class ZOrderIndex(PagedIndex):
         self._lay_out(data, np.split(order, np.arange(self.page_size, self.n, self.page_size)))
 
     def _query_zrange(self, q: Query) -> tuple[int, int]:
-        lo = np.where(np.isfinite(q.ranges[:, 0]), q.ranges[:, 0], self.mins)
-        hi = np.where(np.isfinite(q.ranges[:, 1]), q.ranges[:, 1], self.maxs)
-        lo = np.clip(lo, self.mins, self.maxs)
-        hi = np.clip(hi, self.mins, self.maxs)
-        qlo = quantize(lo.reshape(1, -1), self.mins, self.maxs, self.bits)[0]
-        qhi = quantize(hi.reshape(1, -1), self.mins, self.maxs, self.bits)[0]
+        """The Z-values of the rectangle's lower and upper corners, both
+        encoded in one call: row 0 of ``bounds`` is the lower corner, row 1
+        the upper."""
+        bounds = q.ranges.T
+        corners = np.where(np.isfinite(bounds), bounds, (self.mins, self.maxs))
+        corners = np.clip(corners, self.mins, self.maxs)
+        coords = quantize(corners, self.mins, self.maxs, self.bits)
         # an open upper side reaches the top coordinate, where NaN and +inf
         # rows sit even when a dimension's finite values are all one value
-        qhi[q.ranges[:, 1] == np.inf] = 2**self.bits - 1
-        zmin = int(interleave(qlo[self.dim_order].reshape(1, -1), self.bits)[0])
-        zmax = int(interleave(qhi[self.dim_order].reshape(1, -1), self.bits)[0])
+        coords[1, bounds[1] == np.inf] = 2**self.bits - 1
+        zmin, zmax = interleave(coords[:, self.dim_order], self.bits).tolist()
         return zmin, zmax
 
     def _ranges(self, q: Query):

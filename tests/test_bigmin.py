@@ -1,6 +1,7 @@
 """Z-order encode/decode and BIGMIN, validated exhaustively vs brute force;
 the array BIGMIN and the UB-tree's ranges against the scalar BIGMIN and
-the per-page walk they replaced."""
+the per-page walk they replaced, and the query corners' Z-values against
+the per-corner encoding they replaced."""
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from repro import datasets
 from repro.core.bigmin import bigmin, interleave, quantize
 from repro.indexes.ubtree import UBTree
+from repro.indexes.zorder import ZOrderIndex
 from repro.workloads import make_workload
 
 
@@ -132,6 +134,31 @@ def _reference_ranges(self, q):
             np.zeros(n_pages, dtype=bool), n_pages)
 
 
+# -- the query corners' Z-values, one encoding per corner, as they were -------
+def _reference_zrange(self, q) -> tuple[int, int]:
+    """``ZOrderIndex._query_zrange`` as it was: each corner quantized and
+    interleaved on its own one-row array."""
+    lo = np.where(np.isfinite(q.ranges[:, 0]), q.ranges[:, 0], self.mins)
+    hi = np.where(np.isfinite(q.ranges[:, 1]), q.ranges[:, 1], self.maxs)
+    lo = np.clip(lo, self.mins, self.maxs)
+    hi = np.clip(hi, self.mins, self.maxs)
+    qlo = quantize(lo.reshape(1, -1), self.mins, self.maxs, self.bits)[0]
+    qhi = quantize(hi.reshape(1, -1), self.mins, self.maxs, self.bits)[0]
+    # an open upper side reaches the top coordinate, where NaN and +inf
+    # rows sit even when a dimension's finite values are all one value
+    qhi[q.ranges[:, 1] == np.inf] = 2**self.bits - 1
+    zmin = int(interleave(qlo[self.dim_order].reshape(1, -1), self.bits)[0])
+    zmax = int(interleave(qhi[self.dim_order].reshape(1, -1), self.bits)[0])
+    return zmin, zmax
+
+
+def assert_zrange_matches_reference(idx: ZOrderIndex, q) -> None:
+    """Both corners encoded at once give the per-corner Z-values."""
+    got = idx._query_zrange(q)
+    assert got == _reference_zrange(idx, q), q.ranges
+    assert all(type(z) is int for z in got)
+
+
 def assert_ranges_match_walk(idx: UBTree, q) -> None:
     """The UB-tree's ranges are the walk's, whenever it is asked for them."""
     if not (q.ranges[:, 0] <= q.ranges[:, 1]).all():
@@ -237,3 +264,16 @@ def test_ubtree_ranges_match_walk_on_test_workloads(name):
         idx = UBTree(page_size=ps).build(data, train)
         for q in test:
             assert_ranges_match_walk(idx, q)
+
+
+@pytest.mark.parametrize("name", ["sales", "tpch", "osm", "perfmon"])
+def test_zrange_matches_per_corner_encoding_on_test_workloads(name):
+    """Table 2's test workload at test scale: Z-order and the UB-tree get
+    the per-corner encoding's ``(zmin, zmax)`` on every query."""
+    data, _ = datasets.load(name, n=datasets.TEST_ROWS[name])
+    train = make_workload(data, name, 100, seed=1)
+    test = make_workload(data, name, 100, seed=2)
+    for idx in (ZOrderIndex(page_size=1024), UBTree(page_size=1024)):
+        idx.build(data, train)
+        for q in test:
+            assert_zrange_matches_reference(idx, q)

@@ -2,10 +2,11 @@
 arbitrary data shapes and query boxes; PLM/RMI invariants hold for
 arbitrary sorted inputs; Flood's column edges reproduce the rank and
 min-max column formulas bit for bit."""
+import itertools
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.plm import PLM
 from repro.core.query import Query, query_from_dict
@@ -20,7 +21,7 @@ from repro.indexes.kdtree import KDTree
 from repro.indexes.rstar import RStarTree
 from repro.indexes.ubtree import UBTree
 from repro.indexes.zorder import ZOrderIndex
-from tests.test_bigmin import assert_ranges_match_walk
+from tests.test_bigmin import assert_ranges_match_walk, assert_zrange_matches_reference
 
 
 @st.composite
@@ -180,12 +181,38 @@ def ubtree_case(draw):
 @settings(max_examples=150, deadline=None)
 def test_ubtree_ranges_match_walk_on_adversarial_inputs(case):
     """The UB-tree's array BIGMIN ranges are the per-page walk's, and its
-    counts are brute force's."""
+    counts are brute force's. Its query corners' Z-values, and Z-order's,
+    are the per-corner encoding's."""
     data, queries, page_size = case
     idx = UBTree(page_size=page_size).build(data, queries)
+    zidx = ZOrderIndex(page_size=page_size).build(data, queries)
     for q in queries:
         assert_ranges_match_walk(idx, q)
+        assert_zrange_matches_reference(idx, q)
+        assert_zrange_matches_reference(zidx, q)
         assert idx.query(q).n_matched == q.mask(data).sum(), q.ranges
+
+
+def test_zrange_matches_per_corner_encoding_on_special_bounds():
+    """Every ordered pair of ±inf, NaN, out-of-domain and in-domain bounds,
+    ``(inf, inf)`` and ``(-inf, -inf)`` among them, on each dimension of a
+    table with a constant dimension and one holding ±inf and NaN, then on
+    all three at once, and on a one-dimensional table."""
+    rng = np.random.default_rng(5)
+    data = np.column_stack([rng.random(300) * 50, np.full(300, 7.0), rng.lognormal(0, 2, 300)])
+    data[:10, 2], data[10:20, 2], data[20:30, 2] = np.inf, -np.inf, np.nan
+    values = [-np.inf, np.inf, np.nan, -1e300, 1e300, -5.0, 7.0, 25.0, 1e3]
+    pairs = list(itertools.product(values, repeat=2))
+    for idx in (ZOrderIndex(page_size=16), UBTree(page_size=16)):
+        idx.build(data)
+        for dim, (lo, hi) in itertools.product(range(3), pairs):
+            assert_zrange_matches_reference(idx, query_from_dict(3, {dim: (lo, hi)}))
+        for k in rng.choice(len(pairs), (300, 3)):
+            assert_zrange_matches_reference(
+                idx, query_from_dict(3, {dim: pairs[i] for dim, i in enumerate(k)}))
+        idx.build(data[:, 2:])
+        for lo, hi in pairs:
+            assert_zrange_matches_reference(idx, query_from_dict(1, {0: (lo, hi)}))
 
 
 def test_flood_sort_only_filters_exact_on_ten_thousand_cells():
@@ -247,11 +274,13 @@ _any_float = st.one_of(st.sampled_from(_HUGE), st.floats(allow_nan=True, allow_i
 
 
 @given(st.lists(_any_float, min_size=1, max_size=300), st.lists(_any_float, max_size=8))
+@example(vals=[8.99e307, 0.0, 1.175494351e-38], probes=[1e300])
 @settings(max_examples=300, deadline=None)
 def test_rmi_over_the_full_float_range(vals, probes):
     """Keys and bounds anywhere in the float range, up to ±1.8e308, NaN
     and ±inf included: the leaves fit without overflow, and every lookup
-    equals searchsorted."""
+    equals searchsorted. In the example, 1e300 routes to the leaf of the
+    two tiny keys, whose slope times 1e300 overflows."""
     keys = np.asarray(vals)
     m = RMI(keys)
     srt = np.sort(keys)

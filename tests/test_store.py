@@ -7,8 +7,8 @@ import pytest
 
 from contextlib import nullcontext
 
-from repro.columnstore.store import SUM_RTOL, ColumnStore, ScanStats, _take, narrow, prefix_sums
-from repro.core.query import AGG_SUM, Query, query_from_dict
+from repro.columnstore.store import SUM_RTOL, ColumnStore, _take, narrow, prefix_sums
+from repro.core.query import AGG_SUM, Query, QueryResult, query_from_dict
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ def _positions(starts: np.ndarray, ends: np.ndarray):
 
 
 def _gather_scan(self: ColumnStore, starts: np.ndarray, ends: np.ndarray,
-                 exact: np.ndarray, q: Query) -> ScanStats:
+                 exact: np.ndarray, q: Query) -> QueryResult:
     """``ColumnStore.scan`` as it was: inexact ranges gathered through one
     position array."""
     t0 = time.perf_counter()
@@ -195,7 +195,7 @@ def _gather_scan(self: ColumnStore, starts: np.ndarray, ends: np.ndarray,
         n_matched += k
         if not want_sum:
             total += k
-    return ScanStats(
+    return QueryResult(
         value=total,
         n_scanned=n_scanned,
         n_matched=n_matched,
@@ -247,7 +247,7 @@ def test_slice_scan_equals_gather_scan_bit_for_bit():
 
 # -- the float64 scan that narrow filter copies replaced, kept as the reference
 def _float_scan(self: ColumnStore, starts: np.ndarray, ends: np.ndarray, exact: np.ndarray,
-                q: Query) -> ScanStats:
+                q: Query) -> QueryResult:
     """``ColumnStore.scan`` as it was: every filter a float64 compare."""
     t0 = time.perf_counter()
     starts = np.asarray(starts, dtype=np.int64)
@@ -301,7 +301,7 @@ def _float_scan(self: ColumnStore, starts: np.ndarray, ends: np.ndarray, exact: 
             with (np.errstate(invalid="ignore") if self._both_infs[q.agg_dim]
                   else nullcontext()):
                 total += float(vals.sum())
-    return ScanStats(
+    return QueryResult(
         value=total,
         n_scanned=n_scanned,
         n_matched=n_matched,
