@@ -8,6 +8,8 @@ cost more per row than a few long ones. The scan runs on uniform floats,
 filtered as float64, and on integers 0..2556 (like tpch's ship date),
 filtered on their uint16 filter copy.
 """
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.plm import PLM
 from repro.core.query import query_from_dict
 from repro.harness.bench import calibration_dataset, default_cost_model
 from repro.indexes.flood import column_edges, column_of
+from tests.test_random_forest import _CALIBRATION_SAMPLE, _reference_predict
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +95,16 @@ def test_bench_cost_model_calibration(benchmark):
         rounds=1, iterations=1,
     )
     assert cm.n_examples > 0
+
+
+@pytest.mark.benchmark(group="calibration")
+def test_bench_forest_predict(benchmark):
+    """One cost-model forest's predict on 100 rows, the batch size the
+    layout search prices with."""
+    cm = default_cost_model(n_layouts=3, n=10_000)
+    X = np.asarray(json.loads(_CALIBRATION_SAMPLE.read_text())["X"][:100])
+    got = benchmark(lambda: cm.wp_model.predict(X))
+    assert np.array_equal(got, _reference_predict(cm.wp_model, X))
 
 
 @pytest.mark.benchmark(group="calibration")

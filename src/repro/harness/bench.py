@@ -61,9 +61,6 @@ class Metrics:
     st_ms: float
     it_ms: float
     tt_ms: float
-    n_queries: int
-    index_size: int
-    build_time: float
 
     def row(self) -> dict:
         return {
@@ -93,9 +90,6 @@ def run_workload(index: BaseIndex, workload: list[Query]) -> Metrics:
         st_ms=st / nq * 1e3,
         it_ms=it / nq * 1e3,
         tt_ms=tt / nq * 1e3,
-        n_queries=len(workload),
-        index_size=index.index_size_bytes(),
-        build_time=index.build_time,
     )
 
 
@@ -130,14 +124,14 @@ def build_flood(data: np.ndarray, train: list[Query], cost_model: CostModel,
     return idx, res.learn_time, load_time
 
 
-def calibration_dataset(n: int = 40_000, d: int = 4, seed: int = 123) -> np.ndarray:
+def calibration_dataset(n: int = 40_000) -> np.ndarray:
     """Arbitrary synthetic data for one-time cost-model calibration
     (§4.1.1: "Flood uses an arbitrary dataset and query workload, which
-    can be synthetic")."""
-    g = np.random.default_rng(seed)
-    cols = [g.random(n), g.lognormal(0, 1, n), g.integers(0, 1000, n).astype(float),
-            g.normal(0, 1, n)]
-    return np.column_stack(cols[:d] if d <= 4 else cols + [g.random(n) for _ in range(d - 4)])
+    can be synthetic"): four columns, uniform, lognormal, integer and
+    normal."""
+    g = np.random.default_rng(123)
+    return np.column_stack([g.random(n), g.lognormal(0, 1, n),
+                            g.integers(0, 1000, n).astype(float), g.normal(0, 1, n)])
 
 
 def default_cost_model(seed: int = 0, n_layouts: int = 8,

@@ -45,7 +45,6 @@ class BaseIndex:
 
     def __init__(self) -> None:
         self.store: ColumnStore | None = None
-        self.build_time: float = 0.0
         self.n: int = 0
         self.d: int = 0
 
@@ -57,12 +56,10 @@ class BaseIndex:
         if data.ndim != 2:
             raise ValueError("data must be (n, d)")
         self.n, self.d = data.shape
-        t0 = time.perf_counter()
         if self.n:
             self._build(data, workload or [])
         else:
             self.store = ColumnStore(data)
-        self.build_time = time.perf_counter() - t0
         return self
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:

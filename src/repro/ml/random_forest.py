@@ -18,12 +18,14 @@ with a strict ``<`` would break them. A split lies between two different
 values and leaves ``min_samples_leaf`` rows on each side. A node whose
 target holds a NaN or an infinity has only NaN errors and stays a leaf.
 
-The fitted forest is one set of ``(n_trees, max_nodes)`` node arrays,
-each tree padded to the longest; ``left`` and ``right`` hold a child's
-index into the flattened arrays. A leaf splits on feature 0 at ``+inf``
-and both its children are itself, so ``max_depth`` steps of gathers move
-every row of every tree to its leaf at once; a NaN feature goes right, and
-at a leaf right is the leaf.
+The fitted forest is one flat list of nodes, the trees one after
+another, with 1-D ``feature``, ``threshold``, ``left`` and ``value``
+arrays and each tree's ``roots`` index. A split's two children sit side
+by side, so the right child is ``left + 1``. A leaf splits on feature 0
+at NaN with ``left`` one before itself: every row, a NaN one included,
+fails ``x <= NaN`` and steps to ``left + 1``, the leaf. So ``max_depth``
+steps of one gather and one add move every row of every tree to its leaf
+at once; a NaN feature goes right.
 """
 from __future__ import annotations
 
@@ -31,18 +33,17 @@ import numpy as np
 
 
 def _grow(XT: np.ndarray, y: np.ndarray, depth: int, nodes: list[list],
-          rng: np.random.Generator, max_depth: int, min_leaf: int,
-          max_features: float) -> int:
+          slot: int, rng: np.random.Generator, max_depth: int, min_leaf: int,
+          max_features: float) -> None:
     """Grow one subtree depth first into ``nodes`` (rows of feature,
-    threshold, left, right, value) from the node's samples ``XT`` (one
-    row per feature) and targets ``y``; returns the index of its root."""
-    node = len(nodes)
+    threshold, left, value), its root at ``slot``, from the node's samples
+    ``XT`` (one row per feature) and targets ``y``."""
     n = y.size
     # y.mean(), summed and divided as it does, without its Python overhead
-    nodes.append([0, np.inf, node, node, float(np.add.reduce(y)) / n])
+    nodes[slot] = node = [0, np.nan, slot - 1, float(np.add.reduce(y)) / n]
     lo = max(1, min_leaf)  # the fewest rows a child may have
     if depth >= max_depth or n < 2 * lo or y.max() - y.min() == 0:
-        return node
+        return
     n_feat = XT.shape[0]
     k = max(1, int(round(max_features * n_feat)))
     feats = rng.choice(n_feat, size=k, replace=False)
@@ -63,19 +64,20 @@ def _grow(XT: np.ndarray, y: np.ndarray, depth: int, nodes: list[list],
     j = int(np.argmin(sse))  # first feature in draw order, then position
     # a NaN error: the node's target holds a NaN or an infinity
     if not sse.flat[j] < np.inf:
-        return node
+        return
     c, i = divmod(j, sse.shape[1])
     i += lo
     f, thr = int(feats[c]), float(0.5 * (xs[c, i - 1] + xs[c, i]))
     mask = XT[f] <= thr
     if not 0 < np.count_nonzero(mask) < n:  # a NaN or rounded-up threshold
-        return node
+        return
+    left = len(nodes)
+    node[:3] = f, thr, left
+    nodes += (None, None)
     grow = (rng, max_depth, min_leaf, max_features)
-    left = _grow(XT.compress(mask, axis=1), y[mask], depth + 1, nodes, *grow)
+    _grow(XT.compress(mask, axis=1), y[mask], depth + 1, nodes, left, *grow)
     mask = ~mask
-    right = _grow(XT.compress(mask, axis=1), y[mask], depth + 1, nodes, *grow)
-    nodes[node][:4] = [f, thr, left, right]
-    return node
+    _grow(XT.compress(mask, axis=1), y[mask], depth + 1, nodes, left + 1, *grow)
 
 
 class RandomForestRegressor:
@@ -95,7 +97,7 @@ class RandomForestRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.value: np.ndarray | None = None  # (n_trees, max_nodes) leaf means
+        self.value: np.ndarray | None = None  # each node's mean, by node
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -105,42 +107,37 @@ class RandomForestRegressor:
         rng = np.random.default_rng(self.seed)
         n = y.size
         XT = np.ascontiguousarray(X.T)
-        trees = []
+        nodes: list[list] = []
+        roots = []
         # non-finite data gives NaN thresholds and errors, which rule out
         # their split
         with np.errstate(invalid="ignore", over="ignore"):
             for _ in range(self.n_estimators):
                 idx = rng.integers(0, n, n)
-                nodes: list[list] = []
-                _grow(XT.take(idx, axis=1), y[idx], 0, nodes, rng, self.max_depth,
-                      self.min_samples_leaf, self.max_features)
-                trees.append(nodes)
-        # pad each tree to the longest with unreachable leaves
-        shape = (len(trees), max(map(len, trees)))
-        self.feature = np.zeros(shape, dtype=np.intp)
-        self.threshold = np.full(shape, np.inf)
-        self.left = np.arange(shape[0] * shape[1]).reshape(shape)
-        self.right = self.left.copy()
-        self.value = np.zeros(shape)
-        for t, nodes in enumerate(trees):
-            f, thr, left, right, value = map(np.array, zip(*nodes))
-            k, root = len(nodes), t * shape[1]
-            self.feature[t, :k] = f
-            self.threshold[t, :k] = thr
-            self.left[t, :k] = left + root
-            self.right[t, :k] = right + root
-            self.value[t, :k] = value
+                roots.append(len(nodes))
+                nodes.append(None)
+                _grow(XT.take(idx, axis=1), y[idx], 0, nodes, roots[-1], rng,
+                      self.max_depth, self.min_samples_leaf, self.max_features)
+        self.n_features = X.shape[1]
+        self.roots = np.array(roots)
+        # one array of all nodes: a zip(*nodes) would make one iterator per
+        # node, and that many tracked objects set off the cyclic GC
+        feature, self.threshold, left, self.value = np.array(nodes).T.copy()
+        self.feature, self.left = feature.astype(np.intp), left.astype(np.intp)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self.value is None:
             raise RuntimeError("predict() before fit()")
-        n_trees, max_nodes = self.value.shape
-        rows = np.arange(X.shape[0])
-        node = np.repeat(np.arange(n_trees)[:, None] * max_nodes, rows.size, axis=1)
+        if X.shape[1] != self.n_features:
+            raise ValueError(f"X has {X.shape[1]} features, fit had {self.n_features}")
+        flat = X.ravel()
+        first = np.arange(X.shape[0]) * X.shape[1]  # each row's offset in flat
+        feature, threshold, left = self.feature, self.threshold, self.left
+        node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
         for _ in range(self.max_depth):
-            go_left = X[rows, np.take(self.feature, node)] <= np.take(self.threshold, node)
-            node = np.where(go_left, np.take(self.left, node), np.take(self.right, node))
+            node = left.take(node) + ~(flat.take(first + feature.take(node))
+                                       <= threshold.take(node))
         # a running sum in tree order: a pairwise mean rounds differently
-        return np.add.accumulate(np.take(self.value, node), axis=0)[-1] / n_trees
+        return np.add.accumulate(self.value.take(node), axis=0)[-1] / self.roots.size

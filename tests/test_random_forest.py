@@ -8,6 +8,9 @@ import pytest
 from repro.ml import random_forest as rf_module
 from repro.ml.random_forest import RandomForestRegressor
 
+_CALIBRATION_SAMPLE = (Path(__file__).parents[1]
+                       / "perfbench/fixed_model/calibration_sample.json")
+
 
 def _r2(y, pred):
     ss = ((y - pred) ** 2).sum()
@@ -72,20 +75,18 @@ def test_shape_validation():
 
 
 def _reference_predict(m, X):
-    """One row and one tree at a time: follow the splits until a node is
-    its own child, then add the trees' leaves in tree order."""
-    feature, threshold = m.feature.ravel(), m.threshold.ravel()
-    left, right, value = m.left.ravel(), m.right.ravel(), m.value.ravel()
-    n_trees, max_nodes = m.value.shape
+    """One row and one tree at a time: from the tree's root, go left or
+    to ``left + 1`` until a leaf (a NaN threshold), then add the trees'
+    leaves in tree order."""
     out = []
     for x in np.atleast_2d(X):
         acc = 0.0
-        for t in range(n_trees):
-            node = t * max_nodes
-            while left[node] != node:
-                node = left[node] if x[feature[node]] <= threshold[node] else right[node]
-            acc += value[node]
-        out.append(acc / n_trees)
+        for root in m.roots:
+            node = root
+            while not np.isnan(m.threshold[node]):
+                node = m.left[node] + (not x[m.feature[node]] <= m.threshold[node])
+            acc += m.value[node]
+        out.append(acc / m.roots.size)
     return np.array(out)
 
 
@@ -94,9 +95,8 @@ def test_packed_predict_equals_per_row_walk():
     X = rng.random((300, 3))
     y = np.where(X[:, 0] > 0.4, 3.0, 1.0) * X[:, 1] + rng.normal(0, 0.1, 300)
     m = RandomForestRegressor(n_estimators=7, max_depth=6, seed=11).fit(X, y)
-    # the trees differ in size, so all but the longest are padded
-    own = np.arange(m.left.size).reshape(m.left.shape)
-    assert np.unique((m.left != own).sum(axis=1)).size > 1
+    # the trees differ in node count
+    assert np.unique(np.diff(np.append(m.roots, m.value.size))).size > 1
     Xt = rng.random((60, 3)) * 1.4 - 0.2
     Xt[::4, 0] = np.nan
     Xt[1::4, 1] = np.inf
@@ -106,13 +106,35 @@ def test_packed_predict_equals_per_row_walk():
     Xt[11] = -np.inf
     assert np.array_equal(m.predict(Xt), _reference_predict(m, Xt))
     assert np.array_equal(m.predict(X), _reference_predict(m, X))
+    # the three cost-model forests, on their sample plus NaN and +-inf rows
+    sample = json.loads(_CALIBRATION_SAMPLE.read_text())
+    X = np.asarray(sample["X"], dtype=np.float64)
+    odd = np.repeat(X[:3], 3, axis=0)
+    odd[0::3] = np.nan
+    odd[1::3] = np.inf
+    odd[2::3] = -np.inf
+    odd[0, 0] = X[0, 0]  # NaN in all but one feature
+    Xt = np.vstack([X, odd])
+    for fit in sample["fits"].values():
+        m = RandomForestRegressor(**fit["params"]).fit(X, np.asarray(fit["y"]))
+        assert np.array_equal(m.predict(Xt), _reference_predict(m, Xt), equal_nan=True)
+
+
+def test_predict_rejects_another_feature_count():
+    rng = np.random.default_rng(14)
+    X, y = rng.random((50, 3)), rng.random(50)
+    m = RandomForestRegressor(n_estimators=3, seed=0).fit(X, y)
+    for width in (2, 4):
+        with pytest.raises(ValueError):
+            m.predict(rng.random((5, width)))
 
 
 def test_depth_zero_forest_averages_bootstrap_means():
     rng = np.random.default_rng(12)
     X, y = rng.random((40, 2)), rng.random(40)
     m = RandomForestRegressor(n_estimators=4, max_depth=0, seed=13).fit(X, y)
-    assert m.value.shape == (4, 1)
+    assert m.value.shape == (4,)
+    assert np.array_equal(m.roots, np.arange(4))
     # no split draws: each tree is the mean of its bootstrap sample
     boot = np.random.default_rng(13)
     means = [y[boot.integers(0, 40, 40)].mean() for _ in range(4)]
@@ -121,15 +143,15 @@ def test_depth_zero_forest_averages_bootstrap_means():
     assert np.array_equal(m.predict(Xt), _reference_predict(m, Xt))
 
 
-def _reference_grow(X, y, depth, nodes, rng, max_depth, min_leaf, max_features):
+def _reference_grow(X, y, depth, nodes, slot, rng, max_depth, min_leaf,
+                    max_features):
     """The split search as one loop over the sampled features: each is
     sorted on its own, and a later feature wins only with a strictly
     smaller error. ``X`` holds one row per sample."""
-    node = len(nodes)
-    nodes.append([0, np.inf, node, node, float(y.mean())])  # a leaf
+    nodes[slot] = [0, np.nan, slot - 1, float(y.mean())]  # a leaf
     n = y.size
     if depth >= max_depth or n < 2 * min_leaf or np.ptp(y) == 0:
-        return node
+        return
     n_feat = X.shape[1]
     k = max(1, int(round(max_features * n_feat)))
     feats = rng.choice(n_feat, size=k, replace=False)
@@ -156,19 +178,20 @@ def _reference_grow(X, y, depth, nodes, rng, max_depth, min_leaf, max_features):
             thr = 0.5 * (xs[idx[j] - 1] + xs[idx[j]])
             best = (float(sse[j]), int(f), float(thr))
     if best[1] < 0:
-        return node
+        return
     f, thr = best[1], best[2]
     mask = X[:, f] <= thr
     if mask.all() or not mask.any():
-        return node
+        return
+    left = len(nodes)
+    nodes[slot][:3] = [f, thr, left]
+    nodes.extend([None, None])  # the two children, side by side
     grow = (rng, max_depth, min_leaf, max_features)
-    left = _reference_grow(X[mask], y[mask], depth + 1, nodes, *grow)
-    right = _reference_grow(X[~mask], y[~mask], depth + 1, nodes, *grow)
-    nodes[node][:4] = [f, thr, left, right]
-    return node
+    _reference_grow(X[mask], y[mask], depth + 1, nodes, left, *grow)
+    _reference_grow(X[~mask], y[~mask], depth + 1, nodes, left + 1, *grow)
 
 
-_PACKED = ("feature", "threshold", "left", "right", "value")
+_PACKED = ("feature", "threshold", "left", "value", "roots")
 
 
 def _fit_both(monkeypatch, X, y, **params):
@@ -219,14 +242,14 @@ def test_fit_grows_the_per_feature_reference_trees(monkeypatch, kind, min_leaf,
         assert np.array_equal(getattr(got, name), getattr(want, name),
                               equal_nan=True), name
     if max_depth and kind in ("ties", "nonfinite_x"):
-        assert (got.left != np.arange(got.left.size).reshape(got.left.shape)).any()
+        assert (got.left != np.arange(got.left.size) - 1).any()
 
 
 def test_fit_grows_the_reference_trees_on_the_calibration_sample(monkeypatch):
-    path = Path(__file__).parents[1] / "perfbench/fixed_model/calibration_sample.json"
-    sample = json.loads(path.read_text())
+    sample = json.loads(_CALIBRATION_SAMPLE.read_text())
     X = np.asarray(sample["X"], dtype=np.float64)
     for fit in sample["fits"].values():
         got, want = _fit_both(monkeypatch, X, np.asarray(fit["y"]), **fit["params"])
         for name in _PACKED:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(getattr(got, name), getattr(want, name),
+                                  equal_nan=True), name
