@@ -6,12 +6,13 @@ d−1 form a grid with ``cols[i]`` columns each. Each grid dimension keeps
 flattening (§5.1) they are equi-mass under the attribute's empirical CDF,
 without they are equal-width. Points are stored sorted by (cell id,
 sort-dim value), cell ids running in depth-first (row-major) order over
-the grid — exactly Fig 2.
+the grid — exactly Fig 2. A :class:`Grid` holds the edges and strides
+and numbers cells, for ``FloodIndex`` and ``sparkglue`` alike.
 
-Query flow (§3.2): *projection* (:func:`project`, which ``sparkglue``
-shares) intersects the query hyper-rectangle with the grid to find the
-visited cells, finding each filtered dim's columns with ``bisect`` on a
-Python list of its edges (:func:`edge_list`); *refinement* turns each
+Query flow (§3.2): *projection* (:meth:`Grid.project`) intersects the
+query hyper-rectangle with the grid to find the visited cells, finding
+each filtered dim's columns with ``bisect`` on a Python list of its
+edges; *refinement* turns each
 visited cell into the physical range of its rows whose sort-dim value
 lies in the query's range. Rows are stored sorted by the int64 key
 ``cell id · U + rank of the sort value`` (U distinct sort values, NaN
@@ -39,7 +40,7 @@ import numpy as np
 
 from repro.columnstore.store import ColumnStore
 from repro.core.query import Query, QueryResult
-from repro.indexes.base import BaseIndex, selectivity_order
+from repro.indexes.base import BaseIndex, finite_extent, selectivity_order
 
 #: rows sampled per grid dimension to learn flattened column edges
 EDGE_SAMPLE = 200_000
@@ -58,6 +59,8 @@ class Layout:
             raise ValueError("need one column count per grid dimension")
         if any(c < 1 for c in self.cols):
             raise ValueError("column counts must be >= 1")
+        if sorted(self.order) != list(range(len(self.order))):
+            raise ValueError("order must be a permutation of the dimensions")
 
     @property
     def sort_dim(self) -> int:
@@ -78,47 +81,27 @@ def column_of(edges: np.ndarray, v) -> np.ndarray:
     return np.searchsorted(edges, v, side="right")
 
 
-def _flip(i: np.ndarray) -> np.ndarray:
-    """Maps float64 bit patterns to int64s in float order, and back."""
-    return np.where(i < 0, i ^ np.int64(0x7FFF_FFFF_FFFF_FFFF), i)
-
-
 def column_edges(values: np.ndarray, c: int, flatten: bool = True) -> np.ndarray:
     """The ``c − 1`` ascending edges of a grid dimension with ``c`` columns.
 
     Flattened (§5.1): a value with sample rank ``r`` (sample values <= it)
     lies in column ``min(int((r/n)·c), c−1)``, so edge ``k`` is the
-    smallest sample value whose rank reaches column ``k``. Equal-width: a
-    value lies in column ``min(int(clip((v−min)/span, 0, 1)·c), c−1)``, and
-    edge ``k`` is the smallest float that formula puts in column ``k``
-    (NaN when none does). Either way :func:`column_of` reproduces the
-    formula's column for every value but NaN.
+    smallest sample value whose rank reaches column ``k``, and
+    :func:`column_of` reproduces that formula for every value but NaN.
+    Equal-width: edge ``k`` is ``lo + (hi − lo)·(k/c)`` over the extent
+    ``[lo, hi]`` of the finite values (0 when there are none). These edges
+    are never NaN: −inf lies in column 0, +inf and NaN in the last.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("column edges need at least one value")
-    k = np.arange(1, c)
     if flatten:
         keys = np.sort(v)
         col_of_rank = (np.arange(keys.size + 1) / keys.size * c).astype(np.int64)
-        return keys[np.searchsorted(col_of_rank, k) - 1]
-    with np.errstate(all="ignore"):
-        mn = v.min()
-        span = np.maximum(v.max() - mn, 1e-300)
-
-        def reaches(x: np.ndarray) -> np.ndarray:
-            return np.clip((x - mn) / span, 0.0, 1.0) * c >= k
-
-        # bisect over the floats in order, as int64 bit patterns
-        lo, hi = (np.full(k.size, _flip(np.float64(x).view(np.int64)))
-                  for x in (-np.inf, np.inf))
-        for _ in range(64):
-            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor((lo+hi)/2), no overflow
-            up = reaches(_flip(mid).view(np.float64))
-            hi = np.where(up, mid, hi)
-            lo = np.where(up, lo, mid)
-        edges = _flip(hi).view(np.float64)
-        return np.where(reaches(edges), edges, np.nan)
+        return keys[np.searchsorted(col_of_rank, np.arange(1, c)) - 1]
+    (lo,), (hi,) = finite_extent(v[:, None])
+    with np.errstate(over="ignore"):  # a span past 1.8e308 makes the edges +inf
+        return lo + (hi - lo) * (np.arange(1, c) / c)
 
 
 def default_layout(data: np.ndarray, workload: list[Query]) -> Layout:
@@ -139,79 +122,93 @@ def _no_cells():
     return np.empty(0, dtype=np.int64), [], np.empty(0, dtype=bool)
 
 
-def edge_list(edges: np.ndarray) -> list[float]:
-    """A grid dimension's edges as the Python list :func:`project` searches.
+class Grid:
+    """Flood's grid over a table: per grid dim, in layout order, its
+    ascending column edges (:func:`column_edges`) and whether it holds no
+    NaN (``nan_free``), and the row-major stride of its column in a cell
+    id, the first grid dim most significant (Fig 2). :meth:`cell_ids`
+    numbers rows' cells and :meth:`project` a query's; ``FloodIndex`` and
+    ``sparkglue`` share both."""
 
-    NaN edges (equal-width columns no float reaches) always trail, and
-    ``searchsorted`` ranks them above every number where ``bisect`` cannot,
-    so the list holds only the non-NaN prefix: ``bisect_right`` on it then
-    equals :func:`column_of` for every non-NaN value."""
-    return edges[~np.isnan(edges)].tolist()
+    def __init__(self, layout: Layout, edges: list[np.ndarray], nan_free: list[bool]):
+        self.layout = layout
+        self.edges = [np.asarray(e, dtype=np.float64) for e in edges]
+        self.nan_free = list(nan_free)
+        # what project bisects: NaN edges (flattened over a sample that is
+        # mostly NaN) trail, and searchsorted ranks them above every number
+        # where bisect cannot, so each list holds the non-NaN prefix only
+        self.edge_lists = [e[~np.isnan(e)].tolist() for e in self.edges]
+        self.strides = [int(math.prod(layout.cols[i + 1:])) for i in range(len(layout.cols))]
 
+    def cell_ids(self, data: np.ndarray) -> np.ndarray:
+        """The cell id of each row of ``data`` (n, d)."""
+        ids = np.zeros(data.shape[0], dtype=np.int64)
+        for dim, edges, stride in zip(self.layout.grid_dims, self.edges, self.strides):
+            ids += column_of(edges, data[:, dim]) * stride
+        return ids
 
-def project(layout: Layout, edges: list[list[float]], nan_free: list[bool], q: Query):
-    """Intersect the query rectangle with the grid (§3.2.1).
+    def project(self, q: Query):
+        """Intersect the query rectangle with the grid (§3.2.1).
 
-    ``edges`` (each from :func:`edge_list`) and ``nan_free`` (the dimension
-    holds no NaN) are per grid dim, in layout order. Returns the visited
-    cell ids (ascending), each grid dim's inclusive column range, and per
-    visited cell whether every grid-dim filter holds for all its rows (a
-    candidate for exactness). An empty range (``not lo <= hi``: inverted or
-    NaN) on any dimension, the sort dim included, visits no cell.
+        Returns the visited cell ids (ascending), each grid dim's inclusive
+        column range, and per visited cell whether every grid-dim filter
+        holds for all its rows (a candidate for exactness). An empty range
+        (``not lo <= hi``: inverted or NaN) on any dimension, the sort dim
+        included, visits no cell.
 
-    The column ranges come from Python scalars (one ``bisect`` per bound);
-    only the cells and their flags are numpy arrays, an outer sum over the
-    dims that span more than one column.
-    """
-    ranges = q.ranges.tolist()
-    lo, hi = ranges[layout.sort_dim]
-    if not lo <= hi:
-        return _no_cells()
-    col_ranges: list[tuple[int, int]] = []
-    stride = math.prod(layout.cols)
-    const, iconst = 0, True
-    spans = []  # (first cell term, column count, stride, first/last interior)
-    for dim, c, e, nf in zip(layout.grid_dims, layout.cols, edges, nan_free):
-        stride //= c  # row-major: the first grid dim is most significant
-        lo, hi = ranges[dim]
-        if lo == -math.inf and hi == math.inf:
-            clo, chi, first, last = 0, c - 1, True, True
-        elif not lo <= hi:
+        The column ranges come from Python scalars (one ``bisect`` per
+        bound); only the cells and their flags are numpy arrays, an outer
+        sum over the dims that span more than one column.
+        """
+        layout = self.layout
+        ranges = q.ranges.tolist()
+        lo, hi = ranges[layout.sort_dim]
+        if not lo <= hi:
             return _no_cells()
-        else:
-            # only ±inf is open
-            clo = 0 if lo == -math.inf else bisect.bisect_right(e, lo)
-            chi = c - 1 if hi == math.inf else bisect.bisect_right(e, hi)
-            # interior columns match the filter for sure (see §3.2.1); the
-            # first and last need per-point checks unless their side is
-            # open, and NaN values, which match no filter, sit in the last
-            first, last = lo == -math.inf, hi == math.inf and nf
-        col_ranges.append((clo, chi))
-        if clo == chi:
-            # a dim of one column folds into a constant, so only the others
-            # pay an outer sum: much cheaper than a d-way meshgrid for the
-            # common mostly-1-column case
-            const += clo * stride
-            iconst = iconst and first and last
-        else:
-            spans.append((clo * stride, chi - clo + 1, stride, first, last))
-    if not spans:
-        return np.array([const], dtype=np.int64), col_ranges, np.array([iconst])
-    # cartesian product of the column ranges → cell ids, the constant
-    # folded into the first dim's terms; the interior flags likewise
-    start, n, step, _, _ = spans[0]
-    cells = np.arange(start + const, start + const + n * step, step)
-    for start, n, step, _, _ in spans[1:]:
-        cells = (cells[:, None] + np.arange(start, start + n * step, step)).ravel()
-    if not iconst:
-        return cells, col_ranges, np.zeros(cells.size, dtype=bool)
-    interior_ok = None
-    for _, n, _, first, last in spans:
-        inner = np.empty(n, dtype=bool)
-        inner.fill(True)
-        inner[0], inner[-1] = first, last
-        interior_ok = inner if interior_ok is None else (interior_ok[:, None] & inner).ravel()
-    return cells, col_ranges, interior_ok
+        col_ranges: list[tuple[int, int]] = []
+        const, iconst = 0, True
+        spans = []  # (first cell term, column count, stride, first/last interior)
+        for dim, c, e, nf, stride in zip(layout.grid_dims, layout.cols, self.edge_lists,
+                                         self.nan_free, self.strides):
+            lo, hi = ranges[dim]
+            if lo == -math.inf and hi == math.inf:
+                clo, chi, first, last = 0, c - 1, True, True
+            elif not lo <= hi:
+                return _no_cells()
+            else:
+                # only ±inf is open
+                clo = 0 if lo == -math.inf else bisect.bisect_right(e, lo)
+                chi = c - 1 if hi == math.inf else bisect.bisect_right(e, hi)
+                # interior columns match the filter for sure (see §3.2.1); the
+                # first and last need per-point checks unless their side is
+                # open, and NaN values, which match no filter, sit in the last
+                first, last = lo == -math.inf, hi == math.inf and nf
+            col_ranges.append((clo, chi))
+            if clo == chi:
+                # a dim of one column folds into a constant, so only the
+                # others pay an outer sum: much cheaper than a d-way
+                # meshgrid for the common mostly-1-column case
+                const += clo * stride
+                iconst = iconst and first and last
+            else:
+                spans.append((clo * stride, chi - clo + 1, stride, first, last))
+        if not spans:
+            return np.array([const], dtype=np.int64), col_ranges, np.array([iconst])
+        # cartesian product of the column ranges → cell ids, the constant
+        # folded into the first dim's terms; the interior flags likewise
+        start, n, step, _, _ = spans[0]
+        cells = np.arange(start + const, start + const + n * step, step)
+        for start, n, step, _, _ in spans[1:]:
+            cells = (cells[:, None] + np.arange(start, start + n * step, step)).ravel()
+        if not iconst:
+            return cells, col_ranges, np.zeros(cells.size, dtype=bool)
+        interior_ok = None
+        for _, n, _, first, last in spans:
+            inner = np.empty(n, dtype=bool)
+            inner.fill(True)
+            inner[0], inner[-1] = first, last
+            interior_ok = inner if interior_ok is None else (interior_ok[:, None] & inner).ravel()
+        return cells, col_ranges, interior_ok
 
 
 class FloodIndex(BaseIndex):
@@ -220,9 +217,7 @@ class FloodIndex(BaseIndex):
     def __init__(self, layout: Layout | None = None):
         super().__init__()
         self.layout = layout
-        self.edges: list[np.ndarray] = []   # per grid dim, in layout order
-        self._edge_lists: list[list[float]] = []  # the same, for project
-        self._nan_free: list[bool] = []     # per grid dim: holds no NaN
+        self.grid: Grid | None = None
         self.sort_keys: np.ndarray | None = None  # distinct sort-dim values
         self.key: np.ndarray | None = None  # per stored row, ascending
         self.cell_starts: np.ndarray | None = None
@@ -236,15 +231,14 @@ class FloodIndex(BaseIndex):
         if len(L.order) != d:
             raise ValueError("layout order must cover all dims")
         rng = np.random.default_rng(0)
-        self.edges = []
-        self._nan_free = []
+        edges, nan_free = [], []
         for dim, c in zip(L.grid_dims, L.cols):
             col = data[:, dim]
-            self._nan_free.append(not np.isnan(col).any())
+            nan_free.append(not np.isnan(col).any())
             if L.flatten and n > EDGE_SAMPLE:
                 col = rng.choice(col, EDGE_SAMPLE, replace=False)
-            self.edges.append(column_edges(col, c, L.flatten))
-        self._edge_lists = [edge_list(e) for e in self.edges]
+            edges.append(column_edges(col, c, L.flatten))
+        self.grid = Grid(L, edges, nan_free)
         # rows sort by the key cell id · U + rank of the sort value, over
         # the U distinct sort values (NaN last), which refinement searches
         self.sort_keys, self.key = np.unique(data[:, L.sort_dim], return_inverse=True)
@@ -258,15 +252,7 @@ class FloodIndex(BaseIndex):
         )
 
     def _cell_ids(self, data: np.ndarray) -> np.ndarray:
-        L = self.layout
-        ids = np.zeros(data.shape[0], dtype=np.int64)
-        stride = 1
-        # row-major: first grid dim most significant → build from last dim up
-        for dim, c, edges in zip(reversed(L.grid_dims), reversed(L.cols),
-                                 reversed(self.edges)):
-            ids += column_of(edges, data[:, dim]) * stride
-            stride *= c
-        return ids
+        return self.grid.cell_ids(data)
 
     # -- query ---------------------------------------------------------------
     def _query(self, q: Query) -> QueryResult:
@@ -274,7 +260,7 @@ class FloodIndex(BaseIndex):
         (the cost model's w_p / w_r targets, §4.1.1)."""
         lo, hi = q.ranges[self.layout.sort_dim].tolist()
         t0 = time.perf_counter()
-        cells, _, interior_ok = project(self.layout, self._edge_lists, self._nan_free, q)
+        cells, _, interior_ok = self.grid.project(q)
         t1 = time.perf_counter()
         starts, ends, exact = self._refine(lo, hi, cells, interior_ok)
         t2 = time.perf_counter()
@@ -323,4 +309,4 @@ class FloodIndex(BaseIndex):
         """Exact metadata size: the cell table, the column edges, the row
         keys and the distinct sort keys."""
         return int(self.cell_starts.nbytes + self.key.nbytes + self.sort_keys.nbytes
-                   + sum(e.nbytes for e in self.edges))
+                   + sum(e.nbytes for e in self.grid.edges))

@@ -4,12 +4,13 @@ This is the distributed realization of §3.1 (per the reproduction band:
 "a custom partitioning/sort scheme applied per-partition then scanned via
 DataFrame filters with data skipping"):
 
-1. :func:`learn_boundaries` — per grid dimension, the column edges of
-   :func:`repro.indexes.flood.column_edges` learned from a sample, so a
-   full sample puts every row in the cell ``FloodIndex`` gives it.
+1. :func:`learn_boundaries` — a :class:`repro.indexes.flood.Grid` whose
+   column edges (:func:`repro.indexes.flood.column_edges`) are learned
+   from a sample, so a full sample puts every row in the cell
+   ``FloodIndex`` gives it.
 2. :func:`apply_flood_layout` — a pandas UDF assigns each row its cell id
-   (``column_of`` against the broadcast boundaries, mixed-radix over
-   grid dims), then ``repartitionByRange(cell_id)`` +
+   (``Grid.cell_ids``, inlined over the grid's edges and strides), then
+   ``repartitionByRange(cell_id)`` +
    ``sortWithinPartitions(cell_id, sort_dim)`` materializes exactly
    Flood's storage order: cells contiguous, sort-dim ordered within.
 3. :func:`project_bounds` — Flood's own projection of a query onto the
@@ -22,8 +23,7 @@ DataFrame analogue of Flood's cell table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -31,26 +31,21 @@ from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType
 
 from repro.core.query import query_from_dict
-from repro.indexes.flood import Layout, column_edges, edge_list, project
+from repro.indexes.flood import Grid, Layout, column_edges
 
 CELL_COL = "__flood_cell"
 
 
 @dataclass
 class SparkFloodLayout:
-    """Layout + learned boundaries + the column names they index."""
+    """A learned grid + the column names its dims index."""
 
-    layout: Layout
+    grid: Grid
     dim_cols: list[str]                    # dataframe column per dim index
-    boundaries: dict[int, np.ndarray]      # grid dim -> ascending thresholds
-    edge_lists: list[list[float]] = field(init=False)  # per grid dim, for project
-
-    def __post_init__(self) -> None:
-        self.edge_lists = [edge_list(self.boundaries[d]) for d in self.layout.grid_dims]
 
     @property
     def sort_col(self) -> str:
-        return self.dim_cols[self.layout.sort_dim]
+        return self.dim_cols[self.grid.layout.sort_dim]
 
 
 def learn_boundaries(df: DataFrame, layout: Layout, dim_cols: list[str],
@@ -67,32 +62,36 @@ def learn_boundaries(df: DataFrame, layout: Layout, dim_cols: list[str],
     if n > sample_rows:
         rows = rows.where(F.pmod(F.xxhash64(*dim_cols), F.lit(n)) < sample_rows)
     sample = rows.toPandas()
-    boundaries: dict[int, np.ndarray] = {}
-    for dim, c in zip(layout.grid_dims, layout.cols):
-        col = sample[dim_cols[dim]].to_numpy(dtype=np.float64)
-        boundaries[dim] = column_edges(col, c, layout.flatten)
-    return SparkFloodLayout(layout=layout, dim_cols=dim_cols, boundaries=boundaries)
+    edges = [column_edges(sample[dim_cols[dim]].to_numpy(dtype=np.float64), c, layout.flatten)
+             for dim, c in zip(layout.grid_dims, layout.cols)]
+    # Spark claims no cell exact, so every grid dim counts as holding NaN
+    grid = Grid(layout, edges, [False] * len(edges))
+    return SparkFloodLayout(grid=grid, dim_cols=dim_cols)
+
+
+def cell_id_function(edges: list[np.ndarray], strides: list[int]):
+    """``Grid.cell_ids`` over one pandas Series per grid dim, in layout
+    order: a closure over plain arrays and ints that imports nothing from
+    ``repro``, since Spark's Python workers may not find it."""
+
+    def cell_ids(*series: pd.Series) -> pd.Series:
+        ids = np.zeros(len(series[0]), dtype=np.int64)
+        for s, e, stride in zip(series, edges, strides):
+            ids += np.searchsorted(e, s.to_numpy(dtype=np.float64), side="right") * stride
+        return pd.Series(ids)
+
+    return cell_ids
 
 
 def cell_id_expr(sfl: SparkFloodLayout):
     """Pandas UDF computing each row's mixed-radix cell id."""
     from pyspark.sql.functions import pandas_udf
 
-    layout, boundaries = sfl.layout, sfl.boundaries
-    grid_dims, cols = list(layout.grid_dims), list(layout.cols)
-    bounds = [boundaries[dm] for dm in grid_dims]
-
-    @pandas_udf(LongType())
-    def _cell(*series: pd.Series) -> pd.Series:
-        ids = np.zeros(len(series[0]), dtype=np.int64)
-        stride = 1
-        for s, b, c in zip(reversed(series), reversed(bounds), reversed(cols)):
-            # column_of, inlined: Python workers need not import repro
-            ids += np.searchsorted(b, s.to_numpy(dtype=np.float64), side="right") * stride
-            stride *= c
-        return pd.Series(ids)
-
-    return _cell(*[F.col(sfl.dim_cols[dm]) for dm in grid_dims])
+    grid = sfl.grid
+    if not grid.strides:  # no grid dim: every row is in cell 0
+        return F.lit(0).cast(LongType())
+    cell_ids = pandas_udf(cell_id_function(grid.edges, grid.strides), LongType())
+    return cell_ids(*[F.col(sfl.dim_cols[dm]) for dm in grid.layout.grid_dims])
 
 
 def apply_flood_layout(df: DataFrame, sfl: SparkFloodLayout,
@@ -113,14 +112,13 @@ def apply_flood_layout(df: DataFrame, sfl: SparkFloodLayout,
 
 
 def project_bounds(sfl: SparkFloodLayout, bounds: dict[str, tuple[float, float]]):
-    """Flood's projection (:func:`repro.indexes.flood.project`, §3.2.1) of
-    a query given as column name -> range; names outside the layout are
-    left to the residual filter. Spark claims no cell exact, so every grid
-    dim counts as holding NaN."""
+    """Flood's projection (:meth:`repro.indexes.flood.Grid.project`,
+    §3.2.1) of a query given as column name -> range; names outside the
+    layout are left to the residual filter."""
     dim_of = {name: dim for dim, name in enumerate(sfl.dim_cols)}
     q = query_from_dict(len(sfl.dim_cols),
                         {dim_of[c]: b for c, b in bounds.items() if c in dim_of})
-    return project(sfl.layout, sfl.edge_lists, [False] * len(sfl.edge_lists), q)
+    return sfl.grid.project(q)
 
 
 def cell_runs_for_query(sfl: SparkFloodLayout,

@@ -29,11 +29,10 @@ def _cell_predicate(sfl: SparkFloodLayout, bounds: dict[str, tuple[float, float]
     if not cells.size:
         return F.lit(False)
     pred = F.col(CELL_COL).between(int(cells[0]), int(cells[-1]))
-    stride = 1
-    for (clo, chi), c in zip(reversed(col_ranges), reversed(sfl.layout.cols)):
+    grid = sfl.grid
+    for (clo, chi), c, stride in zip(col_ranges, grid.layout.cols, grid.strides):
         if chi - clo + 1 < c:
             pred = pred & F.expr(f"({CELL_COL} div {stride}) % {c}").between(clo, chi)
-        stride *= c
     return pred
 
 

@@ -218,6 +218,15 @@ def test_layout_validation():
         Layout(order=[0, 1], cols=[0])
 
 
+@pytest.mark.parametrize("order", [[0, 0, 1], [0, 1, 5], [1, 2, 3], [-1, 0, 1]])
+def test_layout_order_must_be_a_permutation(order):
+    """An order that repeats or skips a dim would leave a dim neither in
+    the grid nor the sort dim, whose filter every range then skips:
+    ``[0, 0, 1]`` made a COUNT on dim 2 return every row."""
+    with pytest.raises(ValueError, match="permutation"):
+        Layout(order=order, cols=[4, 4])
+
+
 def test_index_size_reported():
     data = make_data("uniform")
     idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[4, 4, 4])).build(data)

@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis): index results == brute force for
 arbitrary data shapes and query boxes; PLM/RMI invariants hold for
-arbitrary sorted inputs; Flood's column edges reproduce the rank and
-min-max column formulas bit for bit."""
+arbitrary sorted inputs; Flood's flattened column edges reproduce the
+rank column formula bit for bit, and its equal-width edges are the
+arithmetic over the finite extent."""
 import itertools
 import math
 
@@ -12,8 +13,8 @@ from repro.core.plm import PLM
 from repro.core.query import Query, query_from_dict
 from repro.core.rmi import RMI
 from repro.indexes.clustered import ClusteredIndex
-from repro.indexes.flood import (EDGE_SAMPLE, FloodIndex, Layout, _no_cells, column_edges,
-                                 column_of, edge_list, project)
+from repro.indexes.flood import (EDGE_SAMPLE, FloodIndex, Grid, Layout, _no_cells,
+                                 column_edges, column_of)
 from repro.indexes.full_scan import FullScan
 from repro.indexes.grid_file import GridFile
 from repro.indexes.hyperoctree import Hyperoctree
@@ -299,18 +300,6 @@ def _rank_columns(sample, v, c):
     return np.minimum((r / sample.size * c).astype(np.int64), c - 1)
 
 
-def _minmax_columns(data, v, c):
-    """Equal-width oracle: min(int(clip((v−min)/span, 0, 1)·c), c−1), with a
-    NaN position in column 0 (where the formula's NaN-to-int cast put it)."""
-    with np.errstate(all="ignore"):
-        mn = data.min()
-        u = np.clip((v - mn) / np.maximum(data.max() - mn, 1e-300), 0.0, 1.0)
-    out = np.zeros(v.size, dtype=np.int64)
-    ok = ~np.isnan(u)
-    out[ok] = np.minimum((u[ok] * c).astype(np.int64), c - 1)
-    return out
-
-
 _SPECIAL = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0, 5e-324]
 _values = st.one_of(st.sampled_from(_SPECIAL), st.integers(-3, 3).map(float),
                     st.floats(allow_nan=True, allow_infinity=True))
@@ -331,14 +320,15 @@ def _check_flattened(data, c):
 
 
 def _check_equal_width(data, c):
+    """Edge k is lo + (hi − lo)·(k/c) over the finite values' extent (0
+    and 0 when there are none), in Python floats; the edges ascend and are
+    never NaN, so −inf lies in column 0 and +inf and NaN in the last."""
     edges = column_edges(data, c, flatten=False)
-    assert edges.size == c - 1
-    probes = _probes(data)
-    got = column_of(edges, probes)
-    num = ~np.isnan(probes)
-    np.testing.assert_array_equal(got[num], _minmax_columns(data, probes[num], c))
-    # NaN sorts after every number, in the last column
-    assert (got[~num] == c - 1).all()
+    finite = [x for x in data.tolist() if math.isfinite(x)]
+    lo, hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
+    np.testing.assert_array_equal(edges, [lo + (hi - lo) * (k / c) for k in range(1, c)])
+    assert not np.isnan(edges).any() and (edges[1:] >= edges[:-1]).all()
+    assert column_of(edges, [-np.inf, np.inf, np.nan]).tolist() == [0, c - 1, c - 1]
 
 
 @given(st.lists(_values, min_size=1, max_size=300), st.integers(1, 40))
@@ -349,7 +339,7 @@ def test_flattened_edges_reproduce_rank_columns(vals, c):
 
 @given(st.lists(_values, min_size=1, max_size=300), st.integers(1, 40))
 @settings(max_examples=150, deadline=None)
-def test_equal_width_edges_reproduce_minmax_columns(vals, c):
+def test_equal_width_edges_are_the_arithmetic_over_the_finite_extent(vals, c):
     _check_equal_width(np.asarray(vals), c)
 
 
@@ -360,7 +350,28 @@ def test_edges_on_ties_constant_column_and_one_column():
             _check_equal_width(data, c)
     const = np.full(20, 4.0)
     assert column_of(column_edges(const, 5), [3.9, 4.0, 4.1]).tolist() == [0, 4, 4]
-    assert column_of(column_edges(const, 5, False), [3.9, 4.0, 4.1]).tolist() == [0, 0, 4]
+    assert column_of(column_edges(const, 5, False), [3.9, 4.0, 4.1]).tolist() == [0, 4, 4]
+
+
+def test_equal_width_edges_on_non_finite_and_huge_columns():
+    """All-NaN and all-±inf columns span [0, 0]; ±inf and NaN values
+    leave the extent alone; a span past the float range gives +inf
+    edges, so every finite value lies in column 0."""
+    cases = {
+        "all NaN": [np.nan] * 5,
+        "±inf only": [-np.inf, np.inf],
+        "±inf around data": [-np.inf, 1.0, 3.0, np.inf, np.nan],
+        "±1e308": [-1e308, 1e308],
+        "+1e308 only": [1e308, 1.7976931348623157e308],
+        "span near the float max": [0.0, 8.98846567431158e307],
+    }
+    for vals in cases.values():
+        for c in (1, 2, 5, 40):
+            _check_equal_width(np.asarray(vals), c)
+    np.testing.assert_array_equal(column_edges([np.nan] * 5, 4, False), [0.0] * 3)
+    np.testing.assert_array_equal(column_edges([-np.inf, 1.0, 3.0, np.inf], 4, False),
+                                  [1.5, 2.0, 2.5])
+    assert (column_edges([-1e308, 1e308], 4, False) == np.inf).all()
 
 
 def test_flood_cells_on_sampled_path_match_rank_columns():
@@ -423,7 +434,7 @@ def test_paged_index_size_is_page_arrays(dq):
 
 # -- projection vs the numpy projection it replaced ---------------------------
 def _numpy_project(layout: Layout, edges: list[np.ndarray], nan_free: list[bool], q: Query):
-    """``flood.project`` as it was: numpy edges, ``searchsorted`` per bound."""
+    """Flood's projection as it was: numpy edges, ``searchsorted`` per bound."""
     lo, hi = q.ranges[layout.sort_dim]
     if not lo <= hi:
         return _no_cells()
@@ -497,9 +508,9 @@ _PAIRS = [(np.inf, np.inf), (-np.inf, -np.inf), (-np.inf, np.inf), (np.inf, -np.
 @st.composite
 def projection_case(draw):
     """A layout with 1 to 40 columns per grid dim, flattened or
-    equal-width, over values holding NaN and ±inf (so equal-width edges
-    can be NaN), per-dim ``nan_free`` flags, and a query whose bounds are
-    data values, edges, ±inf, NaN, out of domain, often inverted."""
+    equal-width, over values holding NaN and ±inf (so flattened edges can
+    be NaN), per-dim ``nan_free`` flags, and a query whose bounds are data
+    values, edges, ±inf, NaN, out of domain, often inverted."""
     d = draw(st.integers(1, 4))
     layout = Layout(order=draw(st.permutations(range(d))),
                     cols=draw(st.lists(st.integers(1, 40), min_size=d - 1, max_size=d - 1)),
@@ -529,16 +540,15 @@ def _same_projection(got, want):
 @given(projection_case())
 @settings(max_examples=400, deadline=None)
 def test_projection_equals_numpy_projection(case):
-    """Python-scalar projection gives the numpy projection's cells, column
-    ranges and interior flags, directly and through ``sparkglue``."""
+    """``Grid.project`` gives the numpy projection's cells, column ranges
+    and interior flags, directly and through ``sparkglue``."""
     from repro.sparkglue.layout import SparkFloodLayout, project_bounds
 
     layout, edges, nan_free, q = case
-    got = project(layout, [edge_list(e) for e in edges], nan_free, q)
+    got = Grid(layout, edges, nan_free).project(q)
     _same_projection(got, _numpy_project(layout, edges, nan_free, q))
     names = [f"c{i}" for i in range(q.d)]
-    sfl = SparkFloodLayout(layout=layout, dim_cols=names,
-                           boundaries=dict(zip(layout.grid_dims, edges)))
+    sfl = SparkFloodLayout(grid=Grid(layout, edges, [False] * len(edges)), dim_cols=names)
     bounds = {names[dim]: tuple(q.ranges[dim]) for dim in q.filtered_dims}
     _same_projection(project_bounds(sfl, bounds),
                      _numpy_project(layout, edges, [False] * len(edges), q))

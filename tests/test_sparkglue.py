@@ -6,6 +6,9 @@ Results are oracle-checked against DuckDB over the same input
 are asserted on the materialized DataFrame.
 """
 import importlib.util
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +17,10 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data
-from repro.indexes.flood import FloodIndex, Layout
+from repro.indexes.flood import FloodIndex, Grid, Layout
 from repro.oracle import assert_equivalent
-from repro.sparkglue.layout import (CELL_COL, apply_flood_layout,
-                                    cell_runs_for_query, learn_boundaries)
+from repro.sparkglue.layout import (CELL_COL, SparkFloodLayout, apply_flood_layout,
+                                    cell_id_function, cell_runs_for_query, learn_boundaries)
 from repro.sparkglue.scan import flood_scan, scan_counts
 
 DIM_COLS = ["l_orderkey", "l_quantity", "l_discount", "l_extendedprice"]
@@ -197,11 +200,8 @@ def test_scan_counts_scan_exactly_the_projected_cells(request, spark, li_pdf, ca
 
 def test_cell_runs_merge_contiguous():
     layout = Layout(order=[0, 1, 2], cols=[4, 4])
-    sfl_boundaries = {0: np.array([1.0, 2.0, 3.0]), 1: np.array([1.0, 2.0, 3.0])}
-    from repro.sparkglue.layout import SparkFloodLayout
-
-    sfl = SparkFloodLayout(layout=layout, dim_cols=["a", "b", "c"],
-                           boundaries=sfl_boundaries)
+    edges = [np.array([1.0, 2.0, 3.0])] * 2
+    sfl = SparkFloodLayout(grid=Grid(layout, edges, [False, False]), dim_cols=["a", "b", "c"])
     # no filters → one run covering all 16 cells
     assert cell_runs_for_query(sfl, {}) == [(0, 15)]
     # filter selecting b in one column → 4 disjoint runs
@@ -220,7 +220,7 @@ def test_flatten_false_uses_equal_width(spark, li_pdf):
     df = spark.createDataFrame(li_pdf)
     lay = Layout(order=[0, 1, 2, 3], cols=[4, 2, 2], flatten=False)
     sfl = learn_boundaries(df, lay, DIM_COLS, sample_rows=5000)
-    b = sfl.boundaries[0]
+    b = sfl.grid.edges[0]  # l_orderkey, the first grid dim
     widths = np.diff(np.concatenate(([li_pdf["l_orderkey"].min()], b,
                                      [li_pdf["l_orderkey"].max()])))
     assert widths.std() / widths.mean() < 0.1
@@ -230,11 +230,11 @@ def test_learn_boundaries_repeat(spark, li_pdf):
     """A sample smaller than the table holds the same rows on every call,
     so two calls learn the same edges."""
     df = spark.createDataFrame(li_pdf)
-    a, b = (learn_boundaries(df, LAYOUT, DIM_COLS, sample_rows=20_000).boundaries
+    a, b = (learn_boundaries(df, LAYOUT, DIM_COLS, sample_rows=20_000).grid.edges
             for _ in range(2))
-    assert a.keys() == b.keys()
-    for dim in a:
-        np.testing.assert_array_equal(a[dim], b[dim])
+    assert len(a) == len(b) == len(LAYOUT.cols)
+    for ea, eb in zip(a, b):
+        np.testing.assert_array_equal(ea, eb)
 
 
 @pytest.mark.parametrize("flatten", [True, False])
@@ -250,6 +250,58 @@ def test_spark_and_numpy_assign_every_row_the_same_cell(spark, li_pdf, flatten):
     idx = FloodIndex(layout=lay).build(li_pdf[DIM_COLS].to_numpy(dtype=np.float64))
     want = idx._cell_ids(got[DIM_COLS].to_numpy(dtype=np.float64))
     np.testing.assert_array_equal(got[CELL_COL].to_numpy(), want)
+
+
+def test_one_dimensional_layout_is_one_cell(spark):
+    """A layout of only a sort dim has no grid dim, so its one cell holds
+    every row and the UDF, which has no column to read, is not called."""
+    pdf = pd.DataFrame({"a": np.r_[np.arange(50.0), np.nan]})
+    df = spark.createDataFrame(pdf)
+    sfl = learn_boundaries(df, Layout(order=[0], cols=[]), ["a"])
+    laid = apply_flood_layout(df, sfl, num_partitions=2)
+    assert laid.select(CELL_COL).distinct().collect() == [(0,)]
+    r = scan_counts(laid, sfl, {"a": (10.0, 19.5)})
+    assert (r["n_rows"], r["n_scanned"], r["n_matched"]) == (51, 51, 10)
+
+
+#: unpickles a cell-id function and its input Series from stdin, with any
+#: import of ``repro`` failing, and pickles its output and whether
+#: ``repro`` got imported to stdout
+_WORKER = """
+import pickle, sys
+
+class NoRepro:
+    def find_spec(self, name, path=None, target=None):
+        if name == "repro" or name.startswith("repro."):
+            raise ImportError("repro is not importable here")
+
+sys.meta_path.insert(0, NoRepro())
+fn, series = pickle.load(sys.stdin.buffer)
+out = fn(*series)
+pickle.dump((out, "repro" in sys.modules), sys.stdout.buffer)
+"""
+
+
+@pytest.mark.parametrize("flatten", [True, False])
+def test_cell_id_function_runs_where_repro_does_not_import(li_pdf, tmp_path, flatten):
+    """Spark's Python workers get the cell-id UDF pickled and may not find
+    ``repro``: the function, unpickled in a process that cannot import it,
+    still gives every row the cell ``Grid.cell_ids`` gives it."""
+    from pyspark import cloudpickle
+
+    lay = Layout(order=[3, 2, 0, 1], cols=[6, 6, 4], flatten=flatten)
+    data = li_pdf[DIM_COLS].to_numpy(dtype=np.float64, copy=True)
+    data[::97, 3] = np.nan
+    grid = FloodIndex(layout=lay).build(data).grid
+    fn = cell_id_function(grid.edges, grid.strides)
+    series = [pd.Series(data[:, dim]) for dim in lay.grid_dims]
+    env = {"PATH": "/usr/bin:/bin", "HOME": str(tmp_path)}
+    proc = subprocess.run([sys.executable, "-c", _WORKER], cwd=tmp_path, env=env,
+                          input=cloudpickle.dumps((fn, series)), capture_output=True,
+                          check=True)
+    out, imported_repro = pickle.loads(proc.stdout)
+    assert not imported_repro
+    np.testing.assert_array_equal(out.to_numpy(), grid.cell_ids(data))
 
 
 def test_spark_flood_layout_job_runs(spark, capsys):
