@@ -26,6 +26,10 @@ from repro.core.query import Query
 from repro.indexes.base import selectivity_order
 from repro.indexes.flood import Layout
 
+#: the optimizer learns from a sample of this many rows and queries (§4.2)
+SAMPLE_RECORDS = 10_000
+SAMPLE_QUERIES = 100
+
 
 @dataclass
 class OptimizationResult:
@@ -53,9 +57,10 @@ def _flat_bounds(data_sample: np.ndarray, workload: list[Query]) -> np.ndarray:
     return out
 
 
-def _estimate_stats(n: int, flat: np.ndarray, filtered: np.ndarray,
+def _estimate_stats(n: int, flat: np.ndarray, filtered: np.ndarray, live: np.ndarray,
                     order: list[int], cols: list[int]) -> np.ndarray:
-    """Closed-form per-query statistics for a candidate layout.
+    """Closed-form per-query statistics for a candidate layout; a query
+    that is not ``live`` (an empty range on some dim) visits no cell.
 
     Fully vectorized over queries (this runs thousands of times inside
     the descent search); returns the cost model's feature matrix.
@@ -63,15 +68,15 @@ def _estimate_stats(n: int, flat: np.ndarray, filtered: np.ndarray,
     grid_dims, sort_dim = order[:-1], order[-1]
     total_cells = int(np.prod(cols, dtype=np.int64)) if cols else 1
     cell_sz = n / total_cells
-    nq = flat.shape[0]
-    n_cells = np.ones(nq)
-    scan_frac = np.ones(nq)
-    exact_frac = np.ones(nq)
+    n_cells = live.astype(np.float64)
+    scan_frac = np.ones(flat.shape[0])
+    exact_frac = live.astype(np.float64)
     for dim, c in zip(grid_dims, cols):
         f = filtered[:, dim]
         clo = np.minimum((flat[:, dim, 0] * c).astype(np.int64), c - 1)
         chi = np.minimum((flat[:, dim, 1] * c).astype(np.int64), c - 1)
-        span = (chi - clo + 1).astype(np.float64)
+        # a live range spans at least one column; an empty one may invert
+        span = np.maximum(chi - clo + 1, 1).astype(np.float64)
         n_cells *= np.where(f, span, c)
         scan_frac *= np.where(f, span / c, 1.0)
         # interior columns are exact along this dim
@@ -82,7 +87,7 @@ def _estimate_stats(n: int, flat: np.ndarray, filtered: np.ndarray,
         np.maximum(flat[:, sort_dim, 1] - flat[:, sort_dim, 0], 1e-9),
         1.0,
     )
-    n_scanned = np.maximum(1.0, n * scan_frac * sort_frac)
+    n_scanned = np.where(live, np.maximum(1.0, n * scan_frac * sort_frac), 0.0)
     pts_per_cell = n_scanned / np.maximum(1, n_cells)
     return feature_matrix(
         n_cells=n_cells,
@@ -100,7 +105,6 @@ def _estimate_stats(n: int, flat: np.ndarray, filtered: np.ndarray,
 
 
 def optimize_layout(data: np.ndarray, workload: list[Query], cost_model: CostModel,
-                    sample_records: int = 10_000, sample_queries: int = 100,
                     seed: int = 0) -> OptimizationResult:
     """Algorithm 1: best flattened layout over d candidate sort dimensions,
     with at most max(64, n/8) cells."""
@@ -108,13 +112,13 @@ def optimize_layout(data: np.ndarray, workload: list[Query], cost_model: CostMod
     rng = np.random.default_rng(seed)
     n, d = data.shape
     sample = (
-        data[rng.choice(n, sample_records, replace=False)]
-        if n > sample_records
+        data[rng.choice(n, SAMPLE_RECORDS, replace=False)]
+        if n > SAMPLE_RECORDS
         else data
     )
     wl = (
-        [workload[i] for i in rng.choice(len(workload), sample_queries, replace=False)]
-        if len(workload) > sample_queries
+        [workload[i] for i in rng.choice(len(workload), SAMPLE_QUERIES, replace=False)]
+        if len(workload) > SAMPLE_QUERIES
         else list(workload)
     )
     if not wl:
@@ -123,11 +127,12 @@ def optimize_layout(data: np.ndarray, workload: list[Query], cost_model: CostMod
     filtered = np.zeros((len(wl), d), dtype=bool)
     for qi, q in enumerate(wl):
         filtered[qi, q.filtered_dims] = True
+    live = np.array([(q.ranges[:, 0] <= q.ranges[:, 1]).all() for q in wl])
     max_cells = max(64, n // 8)
     sel = [int(x) for x in selectivity_order(data, wl)]
 
     def cost_of(order: list[int], cols: list[int]) -> float:
-        stats = _estimate_stats(n, flat, filtered, order, cols)
+        stats = _estimate_stats(n, flat, filtered, live, order, cols)
         return float(cost_model.predict_time(stats).mean())
 
     best: tuple[float, Layout] | None = None

@@ -113,11 +113,11 @@ def build_baseline(name: str, data: np.ndarray, train: list[Query],
     return best[1]
 
 
-def build_flood(data: np.ndarray, train: list[Query], cost_model: CostModel,
-                seed: int = 0) -> tuple[FloodIndex, float, float]:
+def build_flood(data: np.ndarray, train: list[Query],
+                cost_model: CostModel) -> tuple[FloodIndex, float, float]:
     """Learn the layout (§4.2) then load the index; returns
     (index, learning time, loading time) — Table 4's Flood split."""
-    res = optimize_layout(data, train, cost_model, seed=seed)
+    res = optimize_layout(data, train, cost_model)
     t0 = time.perf_counter()
     idx = FloodIndex(layout=res.layout).build(data, train)
     load_time = time.perf_counter() - t0
@@ -140,6 +140,5 @@ def default_cost_model(seed: int = 0, n_layouts: int = 8,
     from repro.workloads import random_workload
 
     data = calibration_dataset(n=n)
-    wl = random_workload(data, 40, n_types=8, max_dims=4,
-                         target_selectivity=5e-3, seed=seed)
+    wl = random_workload(data, 40, seed=seed)
     return CostModel().calibrate(data, wl, n_layouts=n_layouts, seed=seed)

@@ -90,7 +90,7 @@ def table1(scale: str = "bench", n_queries: int = 100) -> dict:
 # -- Table 2 -----------------------------------------------------------------
 def table2(scale: str = "bench", names=DATASETS, n_train: int = 100,
            n_test: int = 100, cost_model: CostModel | None = None,
-           tune: bool = True, indexes=TABLE2_INDEXES) -> dict:
+           tune: bool = True) -> dict:
     """Performance breakdown: SO / TPS / ST / IT / TT per index per dataset."""
     cm = cost_model or default_cost_model()
     out: dict[str, dict[str, Metrics | None]] = {}
@@ -98,7 +98,7 @@ def table2(scale: str = "bench", names=DATASETS, n_train: int = 100,
         data, _ = _load(name, scale)
         train, test = _workloads(data, name, n_train, n_test)
         row: dict[str, Metrics | None] = {}
-        for idx_name in indexes:
+        for idx_name in TABLE2_INDEXES:
             if idx_name == "grid_file" and name in GRID_FILE_NA:
                 row[idx_name] = None  # mirror the paper's N/A cells
                 continue
@@ -142,9 +142,9 @@ def table3(scale: str = "bench", names=DATASETS, n_train: int = 60,
 
 # -- Table 4 -----------------------------------------------------------------
 def table4(scale: str = "bench", names=DATASETS, n_train: int = 100,
-           cost_model: CostModel | None = None, tune: bool = False,
-           indexes=ALL_INDEXES) -> dict:
-    """Index creation time: Flood learning + loading vs baseline builds."""
+           cost_model: CostModel | None = None) -> dict:
+    """Index creation time: Flood learning + loading vs baseline builds,
+    each baseline at its default page size."""
     cm = cost_model or default_cost_model()
     out: dict[str, dict[str, float | None]] = {}
     for name in names:
@@ -155,9 +155,7 @@ def table4(scale: str = "bench", names=DATASETS, n_train: int = 100,
         row["flood_learning"] = learn
         row["flood_loading"] = load
         row["flood_total"] = learn + load
-        for idx_name in indexes:
-            if idx_name == "flood":
-                continue
+        for idx_name in BASELINES:
             if idx_name == "grid_file" and name in GRID_FILE_NA:
                 row[idx_name] = None
                 continue
@@ -165,7 +163,7 @@ def table4(scale: str = "bench", names=DATASETS, n_train: int = 100,
                 row[idx_name] = None  # paper: R* ran out of memory here
                 continue
             t0 = time.perf_counter()
-            build_baseline(idx_name, data, train, tune=tune)
+            build_baseline(idx_name, data, train, tune=False)
             row[idx_name] = time.perf_counter() - t0
         out[name] = row
     return out

@@ -13,10 +13,10 @@ Every index (Flood and the seven §7.2 baselines) is:
 
 The paged baselines (k-d tree, hyperoctree, R-tree, Grid File, Z-order
 and the UB-tree) are :class:`PagedIndex` subclasses: however they cut
-space into pages, they store the pages as flat arrays, and one vectorized
-box test, :func:`page_hits`, finds the pages a query rectangle meets. The
-UB-tree alone keeps no boxes: one array BIGMIN over its page starts finds
-where its scan skips to.
+space into pages, they store the pages as flat arrays of closed boxes,
+and one vectorized box test, :func:`page_hits`, finds the pages a query
+rectangle meets. The UB-tree alone keeps no boxes: one array BIGMIN over
+its page starts finds where its scan skips to.
 
 An empty ``(0, d)`` table is handled here, once for every index: build
 stores it without laying it out, every query scans no range, and its
@@ -114,50 +114,42 @@ class PagedIndex(BaseIndex):
 
     ``_build`` leaves one entry per nonempty page, in physical order, in
     ``starts`` and ``ends`` (int64) and in the ``(pages, d)`` float arrays
-    ``lo`` and ``hi``: every non-NaN value of page ``k`` lies in the box
-    ``[lo[k], hi[k]]``, or ``[lo[k], hi[k])`` when ``half_open``. A query
-    scans, as inexact ranges, the pages whose box meets its rectangle.
+    ``lo`` and ``hi``: every non-NaN value of page ``k`` lies in the closed
+    box ``[lo[k], hi[k]]``. A query scans, as inexact ranges, the pages
+    whose box meets its rectangle.
     """
-
-    #: boxes are [lo, hi) rather than [lo, hi]
-    half_open: bool = False
 
     def __init__(self, page_size: int = 1024):
         super().__init__()
         self.page_size = page_size
 
-    def _lay_out(self, data: np.ndarray, parts: list[np.ndarray]) -> None:
+    def _lay_out(self, data: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
         """Store the rows of ``data`` page by page, page ``k`` holding the
-        rows ``parts[k]`` in that order, and set ``starts`` and ``ends``."""
+        rows ``parts[k]`` in that order, set ``starts`` and ``ends``, and
+        return the rows in their stored order."""
         sizes = np.array([p.size for p in parts], dtype=np.int64)
         self.ends = np.cumsum(sizes)
         self.starts = self.ends - sizes
-        self.store = ColumnStore(data[np.concatenate(parts)])
+        rows = data[np.concatenate(parts)]
+        self.store = ColumnStore(rows)
+        return rows
 
     def _ranges(self, q: Query):
-        hit = page_hits(self.lo, self.hi, q, self.half_open)
+        hit = page_hits(self.lo, self.hi, q)
         return self.starts[hit], self.ends[hit], np.zeros(hit.size, dtype=bool), hit.size
 
     def _index_size_bytes(self) -> int:
         return self.starts.nbytes + self.ends.nbytes + self.lo.nbytes + self.hi.nbytes
 
 
-def page_hits(lo: np.ndarray, hi: np.ndarray, q: Query, half_open: bool) -> np.ndarray:
-    """Indices of the pages whose box meets the rectangle of ``q``.
-
-    Page ``k``'s box is ``[lo[k], hi[k]]``, or ``[lo[k], hi[k])`` when
-    ``half_open``. A NaN edge never prunes. A tree's leaf box lies inside
-    its ancestors' boxes, so testing the leaves alone finds exactly the
-    leaves a walk from the root would reach.
+def page_hits(lo: np.ndarray, hi: np.ndarray, q: Query) -> np.ndarray:
+    """Indices of the pages whose closed box ``[lo[k], hi[k]]`` meets the
+    rectangle of ``q``. A NaN edge never prunes. A tree's leaf box lies
+    inside its ancestors' boxes, so testing the leaves alone finds exactly
+    the leaves a walk from the root would reach.
     """
     qlo, qhi = q.ranges[:, 0], q.ranges[:, 1]
-    if half_open:
-        # a box whose top is +inf holds the +inf values: a lower bound of
-        # +inf cuts at the largest float instead
-        below = hi <= np.minimum(qlo, np.finfo(np.float64).max)
-    else:
-        below = hi < qlo
-    return np.flatnonzero(~((lo > qhi) | below).any(axis=1))
+    return np.flatnonzero(~((lo > qhi) | (hi < qlo)).any(axis=1))
 
 
 def page_mbrs(data: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,28 +174,50 @@ def finite_extent(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def halving_root(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The half-open box ``[lo, hi)`` that the hyperoctree and the Grid File
+    halve, holding the non-NaN values of ``data`` (n, d), and the extent of
+    the finite values, top exclusive, that :func:`midpoint` clamps to."""
+    flo, fhi = finite_extent(data)
+    return (np.fmin.reduce(data, axis=0), np.nextafter(np.fmax.reduce(data, axis=0), np.inf),
+            (flo, np.nextafter(fhi, np.inf)))
+
+
+def midpoint(lo: np.ndarray, hi: np.ndarray, finite: tuple) -> np.ndarray:
+    """Midpoints of the box ``[lo, hi)``, its edges clamped to the
+    ``finite`` extent first, so ±inf rows stay in the edge boxes."""
+    return (np.clip(lo, *finite) + np.clip(hi, *finite)) / 2
+
+
+def closed_top(hi: np.ndarray) -> np.ndarray:
+    """The top of the closed box holding the floats of ``[lo, hi)``: the
+    next float below ``hi``, but +inf stays, as that box holds the +inf rows."""
+    return np.where(hi == np.inf, hi, np.nextafter(hi, -np.inf))
+
+
 def selectivity_order(data: np.ndarray, workload: list[Query]) -> np.ndarray:
     """Dims ordered by increasing average selectivity (most selective first).
 
     Selectivity of a filter is the fraction of points it admits along that
-    dimension alone, averaged over the queries that filter it; dims never
-    filtered sort last. This is the ordering rule the paper applies to the
-    baselines ("ordered dimensions by selectivity") and to Flood's grid
-    dims (§4.2 step 2).
+    dimension alone, 0 for an empty (inverted or NaN) range, averaged over
+    the queries that filter it; dims never filtered sort last, so an empty
+    workload keeps the dims in order. This is the ordering rule the paper
+    applies to the baselines ("ordered dimensions by selectivity") and to
+    Flood's grid dims (§4.2 step 2).
     """
-    d = data.shape[1]
+    n, d = data.shape
+    if not workload:
+        return np.arange(d)
     sel_sum = np.zeros(d)
     sel_cnt = np.zeros(d)
     sorted_cols = [np.sort(data[:, j]) for j in range(d)]
-    n = data.shape[0]
     for q in workload:
         for dim in q.filtered_dims:
             lo, hi = q.ranges[dim]
-            frac = (
-                np.searchsorted(sorted_cols[dim], hi, side="right")
-                - np.searchsorted(sorted_cols[dim], lo, side="left")
-            ) / max(1, n)
-            sel_sum[dim] += frac
+            col = sorted_cols[dim]
+            if lo <= hi:
+                sel_sum[dim] += (col.searchsorted(hi, "right")
+                                 - col.searchsorted(lo, "left")) / max(1, n)
             sel_cnt[dim] += 1
     avg = np.where(sel_cnt > 0, sel_sum / np.maximum(sel_cnt, 1), 2.0)
     # Never-filtered dims get sentinel 2.0 (> any real selectivity) → last.

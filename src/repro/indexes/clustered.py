@@ -32,7 +32,7 @@ class ClusteredIndex(BaseIndex):
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
         if self.sort_dim is None:
-            self.sort_dim = int(selectivity_order(data, workload)[0]) if workload else 0
+            self.sort_dim = int(selectivity_order(data, workload)[0])
         order = np.argsort(data[:, self.sort_dim], kind="stable")
         self.store = ColumnStore(data[order])
         self.rmi = RMI(self.store.cols[self.sort_dim], n_experts=N_EXPERTS)

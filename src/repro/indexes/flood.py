@@ -90,12 +90,11 @@ def column_edges(values: np.ndarray, c: int, flatten: bool = True) -> np.ndarray
     :func:`column_of` reproduces that formula for every value but NaN.
     Equal-width: edge ``k`` is ``lo + (hi − lo)·(k/c)`` over the extent
     ``[lo, hi]`` of the finite values (0 when there are none). These edges
-    are never NaN: −inf lies in column 0, +inf and NaN in the last.
+    are never NaN: −inf lies in column 0, +inf and NaN in the last. No
+    values give ``c − 1`` zero edges, which place no row.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("column edges need at least one value")
-    if flatten:
+    if flatten and v.size:
         keys = np.sort(v)
         col_of_rank = (np.arange(keys.size + 1) / keys.size * c).astype(np.int64)
         return keys[np.searchsorted(col_of_rank, np.arange(1, c)) - 1]

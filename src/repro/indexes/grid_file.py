@@ -13,17 +13,17 @@ Buckets are tracked as a binary split tree while building (each split
 produces exactly two buckets, as in the paper's description); the
 per-dimension global boundary lists drive the "existing boundary first"
 rule that makes a Grid File different from a k-d tree. The built index
-keeps each nonempty bucket as a page with its half-open region; a query
-scans the buckets whose region meets the rectangle, and marks exact
-those inside it that hold no NaN in a filtered dimension. Unlike Flood,
-nothing here adapts to the query workload.
+keeps each nonempty bucket as a page with the closed box holding the
+floats of its half-open region; a query scans the buckets whose box meets
+the rectangle, and marks exact those inside it that hold no NaN in a
+filtered dimension. Unlike Flood, nothing here adapts to the workload.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.query import Query
-from repro.indexes.base import PagedIndex, finite_extent, page_hits
+from repro.indexes.base import PagedIndex, closed_top, halving_root, midpoint, page_hits
 
 #: buckets stop splitting once there are this many
 MAX_BUCKETS = 200_000
@@ -48,18 +48,11 @@ class _Split:
 
 class GridFile(PagedIndex):
     name = "grid_file"
-    half_open = True
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
         d = self.d
-        # boxes are half-open: the top edge is the next float above the
-        # max; they bound the non-NaN values, and NaN rows go right
-        lo = np.fmin.reduce(data, axis=0)
-        hi = np.nextafter(np.fmax.reduce(data, axis=0), np.inf)
-        # midpoints split the finite values: box edges are clamped to
-        # them first, so ±inf rows stay in the edge buckets
-        flo, fhi = finite_extent(data)
-        finite = (flo, np.nextafter(fhi, np.inf))
+        # NaN rows go right
+        lo, hi, finite = halving_root(data)
         self.boundaries: list[list[float]] = [[] for _ in range(d)]
         tree: _Split | _Bucket = _Bucket(lo, hi)
         n_buckets = 1
@@ -97,17 +90,16 @@ class GridFile(PagedIndex):
                 stack += (node.right, node.left)
             elif node.points:
                 buckets.append(node)
-        self._lay_out(data, [np.asarray(b.points, dtype=np.int64) for b in buckets])
+        rows = self._lay_out(data, [np.asarray(b.points, dtype=np.int64) for b in buckets])
         self.lo = np.array([b.lo for b in buckets])
-        self.hi = np.array([b.hi for b in buckets])
+        self.hi = closed_top(np.array([b.hi for b in buckets]))
         #: (pages, d): whether the bucket holds NaN in the dimension
-        self.has_nan = np.logical_or.reduceat(np.isnan(self.store.matrix()), self.starts)
+        self.has_nan = np.logical_or.reduceat(np.isnan(rows), self.starts)
 
     def _split_bucket(self, b: _Bucket, data: np.ndarray,
                       finite: tuple[np.ndarray, np.ndarray]) -> _Split | None:
         """Split bucket ``b`` in two, or None when its region cannot be
-        split; ``finite`` is the finite values' extent, with an exclusive
-        top, that midpoints are taken within."""
+        split; midpoints are clamped to the ``finite`` extent."""
         d = self.d
         dim = val = None
         # (1) an existing block boundary strictly inside the bucket, dims
@@ -122,8 +114,7 @@ class GridFile(PagedIndex):
                 break
         if dim is None:
             # (2) new grid column at the midpoint of the round-robin dim
-            flo, fhi = finite
-            mids = (np.clip(b.lo, flo, fhi) + np.clip(b.hi, flo, fhi)) / 2
+            mids = midpoint(b.lo, b.hi, finite)
             for probe in range(d):
                 k = (b.cycle + probe) % d
                 mid = mids[k]
@@ -144,7 +135,7 @@ class GridFile(PagedIndex):
         return _Split(dim, val, left, right)
 
     def _ranges(self, q: Query):
-        hit = page_hits(self.lo, self.hi, q, self.half_open)
+        hit = page_hits(self.lo, self.hi, q)
         qlo, qhi = q.ranges[:, 0], q.ranges[:, 1]
         # a bucket inside the rectangle matches on every row, unless it
         # holds NaN, which matches no filter, in a filtered dimension

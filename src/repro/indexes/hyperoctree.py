@@ -3,16 +3,16 @@
 Recursively halves space in every dimension at once (2^d hyperoctants)
 until a node holds fewer than ``page_size`` points. Points within a leaf
 page are contiguous; pages are laid out by an in-order traversal. Each
-leaf keeps its half-open box, cut to the boxes of its ancestors, so a
-query scans the leaves whose box meets the rectangle, which are the
-leaves a walk from the root would reach.
+leaf keeps the closed box holding the floats of its half-open box, cut to
+its ancestors' boxes, so a query scans the leaves whose box meets the
+rectangle, which are the leaves a walk from the root would reach.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.query import Query
-from repro.indexes.base import PagedIndex, finite_extent
+from repro.indexes.base import PagedIndex, closed_top, halving_root, midpoint
 
 #: a node this deep is a leaf, however many points it holds
 MAX_DEPTH = 24
@@ -20,21 +20,14 @@ MAX_DEPTH = 24
 
 class Hyperoctree(PagedIndex):
     name = "hyperoctree"
-    half_open = True
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
-        # boxes are half-open: the top edge is the next float above the
-        # max; they bound the non-NaN values, and NaN rows go low
-        lo = np.fmin.reduce(data, axis=0)
-        hi = np.nextafter(np.fmax.reduce(data, axis=0), np.inf)
-        # midpoints split the finite values: box edges are clamped to
-        # them first, so ±inf rows stay in the edge octants
-        flo, fhi = finite_extent(data)
-        finite = (flo, np.nextafter(fhi, np.inf))
+        # NaN rows go low
+        lo, hi, finite = halving_root(data)
         parts, box_lo, box_hi = zip(*self._leaves(data, finite, np.arange(self.n), lo, hi,
                                                   lo, hi, depth=0))
         self._lay_out(data, list(parts))
-        self.lo, self.hi = np.array(box_lo), np.array(box_hi)
+        self.lo, self.hi = np.array(box_lo), closed_top(np.array(box_hi))
 
     def _leaves(self, data: np.ndarray, finite: tuple[np.ndarray, np.ndarray], idx: np.ndarray,
                 lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray,
@@ -46,8 +39,7 @@ class Hyperoctree(PagedIndex):
         if idx.size <= self.page_size or depth >= MAX_DEPTH:
             yield idx, box_lo, box_hi
             return
-        flo, fhi = finite
-        mid = (np.clip(lo, flo, fhi) + np.clip(hi, flo, fhi)) / 2
+        mid = midpoint(lo, hi, finite)
         pts = data[idx]
         # hyperoctant code: bit j set iff point >= mid in dim j
         codes = ((pts >= mid) << np.arange(self.d)).sum(axis=1)

@@ -20,9 +20,7 @@ class KDTree(PagedIndex):
     name = "kdtree"
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
-        self.dim_cycle = [int(x) for x in (
-            selectivity_order(data, workload) if workload else np.arange(self.d)
-        )]
+        self.dim_cycle = [int(x) for x in selectivity_order(data, workload)]
         parts, lo, hi = zip(*self._leaves(data, np.arange(self.n), 0, np.full(self.d, -np.inf),
                                           np.full(self.d, np.inf)))
         self._lay_out(data, list(parts))

@@ -22,11 +22,10 @@ class RStarTree(PagedIndex):
     name = "rstar"
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
-        sel = selectivity_order(data, workload) if workload else np.arange(self.d)
-        self._tile_dims = [int(x) for x in sel]
+        self._tile_dims = [int(x) for x in selectivity_order(data, workload)]
         perm = self._str_order(np.arange(self.n), data, 0)
-        self._lay_out(data, np.split(perm, np.arange(self.page_size, self.n, self.page_size)))
-        self.lo, self.hi = page_mbrs(self.store.matrix(), self.starts)
+        pages = np.split(perm, np.arange(self.page_size, self.n, self.page_size))
+        self.lo, self.hi = page_mbrs(self._lay_out(data, pages), self.starts)
 
     def _str_order(self, idx: np.ndarray, data: np.ndarray, depth: int) -> np.ndarray:
         """Recursive STR tiling over the selectivity-ordered dimensions."""

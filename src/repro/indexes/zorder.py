@@ -22,24 +22,24 @@ class ZOrderIndex(PagedIndex):
     name = "zorder"
 
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
-        self._lay_out_z(data, workload)
-        self.lo, self.hi = page_mbrs(self.store.matrix(), self.starts)
+        self.lo, self.hi = page_mbrs(self._lay_out_z(data, workload), self.starts)
 
-    def _lay_out_z(self, data: np.ndarray, workload: list[Query]) -> None:
-        """Sort the rows by Z-value into pages, keeping the sorted ``zvals``."""
+    def _lay_out_z(self, data: np.ndarray, workload: list[Query]) -> np.ndarray:
+        """Sort the rows by Z-value into pages, keeping the sorted ``zvals``;
+        returns the rows in their stored order."""
         d = self.d
         self.bits = min(63 // d, 16)
         # dim_order[0] = most selective → assign it the last (least
         # significant) interleave slot per Appendix A.
-        sel = selectivity_order(data, workload) if workload else np.arange(d)
-        self.dim_order = np.asarray(sel[::-1])  # most selective last = LSB
+        self.dim_order = selectivity_order(data, workload)[::-1]  # most selective last = LSB
         # the grid spans the finite values; ±inf quantize to its edges
         self.mins, self.maxs = finite_extent(data)
         coords = quantize(data, self.mins, self.maxs, self.bits)
         zvals = interleave(coords[:, self.dim_order], self.bits)
         order = np.argsort(zvals, kind="stable")
         self.zvals = zvals[order]
-        self._lay_out(data, np.split(order, np.arange(self.page_size, self.n, self.page_size)))
+        pages = np.split(order, np.arange(self.page_size, self.n, self.page_size))
+        return self._lay_out(data, pages)
 
     def _query_zrange(self, q: Query) -> tuple[int, int]:
         """The Z-values of the rectangle's lower and upper corners, both
@@ -61,7 +61,7 @@ class ZOrderIndex(PagedIndex):
         e = int(np.searchsorted(self.zvals, zmax, side="right"))
         ps = self.page_size
         p0, p1 = s // ps, (max(e, s + 1) - 1) // ps
-        hit = p0 + page_hits(self.lo[p0:p1 + 1], self.hi[p0:p1 + 1], q, self.half_open)
+        hit = p0 + page_hits(self.lo[p0:p1 + 1], self.hi[p0:p1 + 1], q)
         starts = np.maximum(self.starts[hit], s)
         ends = np.minimum(self.ends[hit], e)
         return starts, ends, np.zeros(hit.size, dtype=bool), hit.size

@@ -57,30 +57,34 @@ QUERY_TYPES: dict[str, list[tuple[tuple[int, ...], frozenset[int], float]]] = {
 }
 
 
-def make_workload(data: np.ndarray, name: str, n_queries: int,
-                  target_selectivity: float = 1e-3, seed: int = 0,
-                  sum_fraction: float = 0.5) -> list[Query]:
+#: the average overall selectivity of a dataset's queries (paper: 0.1%)
+TARGET_SELECTIVITY = 1e-3
+#: cost-model calibration's random workload: up to this many query types,
+#: each of up to this many dims, at this selectivity
+RANDOM_TYPES = 8
+RANDOM_MAX_DIMS = 4
+RANDOM_SELECTIVITY = 5e-3
+
+
+def make_workload(data: np.ndarray, name: str, n_queries: int, seed: int = 0) -> list[Query]:
     """Instantiate ``n_queries`` queries of the dataset's types."""
-    types = QUERY_TYPES[name]
-    return _generate(data, types, n_queries, target_selectivity, seed, sum_fraction)
+    return _generate(data, QUERY_TYPES[name], n_queries, TARGET_SELECTIVITY, seed)
 
 
-def random_workload(data: np.ndarray, n_queries: int, n_types: int = 10,
-                    max_dims: int = 6, target_selectivity: float = 1e-3,
-                    seed: int = 0) -> list[Query]:
-    """Random query types (for §7.4's dynamic-workload experiment and cost
-    model calibration): up to ``n_types`` types of up to ``max_dims`` dims."""
+def random_workload(data: np.ndarray, n_queries: int, seed: int = 0) -> list[Query]:
+    """Random query types, for cost model calibration: up to
+    ``RANDOM_TYPES`` types of up to ``RANDOM_MAX_DIMS`` dims."""
     rng = np.random.default_rng(seed)
     d = data.shape[1]
     types = []
-    for _ in range(max(1, n_types)):
-        k = int(rng.integers(1, min(max_dims, d) + 1))
+    for _ in range(RANDOM_TYPES):
+        k = int(rng.integers(1, min(RANDOM_MAX_DIMS, d) + 1))
         dims = tuple(int(x) for x in rng.choice(d, size=k, replace=False))
         types.append((dims, frozenset(), 1.0))
-    return _generate(data, types, n_queries, target_selectivity, seed + 1, 0.5)
+    return _generate(data, types, n_queries, RANDOM_SELECTIVITY, seed + 1)
 
 
-def _generate(data: np.ndarray, types, n_queries, target, seed, sum_fraction):
+def _generate(data: np.ndarray, types, n_queries, target, seed):
     rng = np.random.default_rng(seed)
     n, d = data.shape
     sorted_cols = [np.sort(data[:, j]) for j in range(d)]
@@ -108,7 +112,7 @@ def _generate(data: np.ndarray, types, n_queries, target, seed, sum_fraction):
             lo = float(col[int(u0 * (n - 1))])
             hi = float(col[min(int((u0 + w) * (n - 1)), n - 1)])
             bounds[dm] = (lo, hi)
-        agg = AGG_SUM if rng.random() < sum_fraction else "count"
+        agg = AGG_SUM if rng.random() < 0.5 else "count"  # half SUMs, half COUNTs
         out.append(
             query_from_dict(d, bounds, agg=agg, agg_dim=int(rng.integers(0, d)))
         )

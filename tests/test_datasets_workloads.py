@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from repro import datasets
-from repro.workloads import (QUERY_TYPES, make_workload, random_workload,
-                             workload_selectivity)
+from repro.workloads import (QUERY_TYPES, RANDOM_MAX_DIMS, RANDOM_TYPES, make_workload,
+                             random_workload, workload_selectivity)
 
 NAMES = ["sales", "tpch", "osm", "perfmon"]
 
@@ -59,7 +59,7 @@ def test_sales_fairly_uniform():
 @pytest.mark.parametrize("name", NAMES)
 def test_workload_hits_target_selectivity(name):
     data, _ = datasets.load(name, n=20000)
-    wl = make_workload(data, name, 60, target_selectivity=1e-3, seed=1)
+    wl = make_workload(data, name, 60, seed=1)
     sel = workload_selectivity(data, wl)
     # within a factor of ~5 of the 0.1% target (correlations + equality
     # dims make it inexact, as in the paper's ±0.013% tolerance at scale)
@@ -86,10 +86,10 @@ def test_train_test_same_distribution_different_queries():
 
 def test_random_workload_bounded_types():
     data, _ = datasets.load("osm", n=5000)
-    wl = random_workload(data, 50, n_types=5, max_dims=3, seed=0)
+    wl = random_workload(data, 50, seed=0)
     kinds = {tuple(sorted(int(x) for x in q.filtered_dims)) for q in wl}
-    assert len(kinds) <= 5
-    assert all(len(k) <= 3 for k in kinds)
+    assert len(kinds) <= RANDOM_TYPES
+    assert all(len(k) <= RANDOM_MAX_DIMS for k in kinds)
 
 
 def test_equality_dims_are_degenerate_ranges():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.query import AGG_SUM, query_from_dict
+from repro.indexes.base import page_hits
 from repro.indexes.clustered import ClusteredIndex
 from repro.indexes.flood import FloodIndex, Layout
 from repro.indexes.full_scan import FullScan
@@ -22,10 +23,11 @@ from repro.indexes.zorder import ZOrderIndex
 
 N, D = 3000, 4
 
-#: the indexes that find pages by their boxes, and whether the boxes are half-open
-_PAGED = {"zorder": (ZOrderIndex, False), "hyperoctree": (Hyperoctree, True),
-          "kdtree": (KDTree, False), "rstar": (RStarTree, False),
-          "grid_file": (GridFile, True)}
+#: the indexes that find pages by their boxes
+_PAGED = {"zorder": ZOrderIndex, "hyperoctree": Hyperoctree, "kdtree": KDTree,
+          "rstar": RStarTree, "grid_file": GridFile}
+#: the indexes that halve half-open boxes while building and store them closed
+_HALVING = ("hyperoctree", "grid_file")
 
 
 def _factories():
@@ -248,7 +250,7 @@ def test_nan_values_leave_a_dimension_prunable(name):
     data = clean.copy()
     data[rng.random(3000) < 0.05, 1] = np.nan
     q = query_from_dict(3, {1: (0.1, 0.2)})
-    cls, _ = _PAGED[name]
+    cls = _PAGED[name]
     want = cls(page_size=64).build(clean).query(q).n_scanned
     r = cls(page_size=64).build(data).query(q)
     assert r.n_matched == q.mask(data).sum()
@@ -293,7 +295,7 @@ def test_empty_table_answers_zero(name):
 
 @pytest.mark.parametrize("name", list(_factories()))
 def test_rows_at_the_max_of_large_values_are_found(name):
-    """Half-open boxes hold each dimension's largest value even where a
+    """Page boxes hold each dimension's largest value even where a
     fixed epsilon above it would round away (values near 1e9)."""
     data = np.random.default_rng(9).random((N, D)) * 1e9 + 1e9
     idx = _factories()[name]().build(data)
@@ -326,16 +328,12 @@ def test_nan_and_inf_rows_beside_a_constant_dimension(name):
             assert r.value == pytest.approx(want, rel=1e-12), bounds
 
 
-def _loop_ranges(idx, q, half_open):
+def _loop_ranges(idx, q):
     """Physical ranges and page count of a paged index, one page at a
     time over its stored boxes: the reference the vectorized box test
     must equal."""
     qlo, qhi = q.ranges[:, 0], q.ranges[:, 1]
     filtered = (qlo != -np.inf) | (qhi != np.inf)
-    top = qlo
-    if half_open:
-        # a half-open box whose top is +inf holds the +inf values
-        top = np.minimum(qlo, np.finfo(np.float64).max)
     s, e = 0, idx.n
     pages = range(len(idx.starts))
     if isinstance(idx, ZOrderIndex):
@@ -350,7 +348,7 @@ def _loop_ranges(idx, q, half_open):
     rows = idx.store.matrix()
     for p in pages:
         lo, hi = idx.lo[p], idx.hi[p]
-        if (lo > qhi).any() or ((hi <= top) if half_open else (hi < top)).any():
+        if (lo > qhi).any() or (hi < qlo).any():
             continue
         n_pages += 1
         start, end = max(int(idx.starts[p]), s), min(int(idx.ends[p]), e)
@@ -363,13 +361,30 @@ def _loop_ranges(idx, q, half_open):
     return ranges, n_pages
 
 
-def _boxes_hold_their_rows(idx, half_open):
+def _boxes_hold_their_rows(idx):
     rows = idx.store.matrix()
     for p, (s, e) in enumerate(zip(idx.starts, idx.ends)):
         v = rows[s:e]
-        lo, hi = idx.lo[p], idx.hi[p]
-        inside = (v >= lo) & ((v < hi) | (v == np.inf) & (hi == np.inf) if half_open else v <= hi)
+        inside = (v >= idx.lo[p]) & (v <= idx.hi[p])
         assert (inside | np.isnan(v)).all(), p
+
+
+def _half_open_page_hits(lo: np.ndarray, hi: np.ndarray, q, half_open: bool) -> np.ndarray:
+    """Indices of the pages whose box meets the rectangle of ``q``.
+
+    Page ``k``'s box is ``[lo[k], hi[k]]``, or ``[lo[k], hi[k])`` when
+    ``half_open``. A NaN edge never prunes. A tree's leaf box lies inside
+    its ancestors' boxes, so testing the leaves alone finds exactly the
+    leaves a walk from the root would reach.
+    """
+    qlo, qhi = q.ranges[:, 0], q.ranges[:, 1]
+    if half_open:
+        # a box whose top is +inf holds the +inf values: a lower bound of
+        # +inf cuts at the largest float instead
+        below = hi <= np.minimum(qlo, np.finfo(np.float64).max)
+    else:
+        below = hi < qlo
+    return np.flatnonzero(~((lo > qhi) | below).any(axis=1))
 
 
 @pytest.mark.parametrize("values", ["finite", "inf", "nan"])
@@ -378,8 +393,11 @@ def test_page_box_test_equals_a_loop_over_the_pages(name, values):
     """Every paged index's ranges, their exactness and its page count equal
     a per-page loop over its stored boxes, on data with ±inf and NaN and
     on bounds from the data, the box edges, ±inf, NaN and out-of-domain
-    values; and every box holds its page's non-NaN values."""
-    cls, half_open = _PAGED[name]
+    values; and every box holds its page's non-NaN values. The indexes that
+    halve half-open boxes hit the same pages as the half-open test on the
+    tops those boxes had while building: the next float above the closed
+    top, +inf staying +inf."""
+    cls = _PAGED[name]
     rng = np.random.default_rng(zlib.crc32(f"{name}/{values}".encode()))
     data = rng.integers(0, 40, (N, D)).astype(float)
     data[:, 2:] = rng.random((N, 2)) * 100
@@ -389,9 +407,11 @@ def test_page_box_test_equals_a_loop_over_the_pages(name, values):
     elif values == "nan":
         data[rng.random((N, D)) < 0.05] = np.nan
     idx = cls(page_size=64).build(data, _queries(data, 10, seed=1))
-    _boxes_hold_their_rows(idx, half_open)
+    _boxes_hold_their_rows(idx)
+    half_open_hi = np.nextafter(idx.hi, np.inf)
     pool = np.concatenate([data.ravel(), idx.lo.ravel(), idx.hi.ravel(),
-                           [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.5, -2.5]])
+                           [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.5, -2.5]]
+                          + ([half_open_hi.ravel()] if name in _HALVING else []))
     pool = pool[~np.isnan(pool)]
     checked = n_exact = 0
     for _ in range(300):
@@ -402,10 +422,36 @@ def test_page_box_test_equals_a_loop_over_the_pages(name, values):
                 np.sort(rng.choice(pool, 2)))
         q = query_from_dict(D, bounds)
         starts, ends, exact, n_pages = idx._ranges(q)
-        ranges, want = _loop_ranges(idx, q, half_open)
+        ranges, want = _loop_ranges(idx, q)
         assert n_pages == want, bounds
+        if name in _HALVING:
+            np.testing.assert_array_equal(page_hits(idx.lo, idx.hi, q),
+                                          _half_open_page_hits(idx.lo, half_open_hi, q, True))
         assert list(zip(starts.tolist(), ends.tolist(), exact.tolist())) == ranges, bounds
         checked += bool(ranges)
         n_exact += int(exact.sum())
     assert checked > 100
     assert n_exact > 0 or name != "grid_file"
+
+
+def test_grid_file_bucket_under_a_query_top_at_its_largest_value_is_exact():
+    """A bucket whose closed top equals the query's top lies inside the
+    rectangle: the column max makes every bucket exact along that dim, and
+    an inner bucket's top makes that bucket exact; both equal brute force."""
+    data = _data("uniform")
+    idx = GridFile(page_size=256).build(data)
+    top = data[:, 0].max()
+    k = int(np.argmin(idx.hi[:, 0]))
+    assert idx.hi[k, 0] < top
+    for bounds, pages in (({0: (data[:, 0].min(), top)}, np.arange(len(idx.starts))),
+                          ({0: (idx.lo[k, 0], idx.hi[k, 0])}, np.array([k]))):
+        starts, _, exact, _ = idx._ranges(query_from_dict(D, bounds))
+        assert set(idx.starts[pages].tolist()) <= set(starts[exact].tolist()), bounds
+        for agg in ("count", "sum"):
+            q = query_from_dict(D, bounds, agg=agg, agg_dim=2)
+            m = q.mask(data)
+            r = idx.query(q)
+            assert r.n_exact >= (idx.ends[pages] - idx.starts[pages]).sum(), bounds
+            assert r.n_matched == m.sum(), bounds
+            assert r.value == pytest.approx(m.sum() if agg == "count" else data[m, 2].sum(),
+                                            rel=1e-12), bounds

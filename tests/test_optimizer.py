@@ -1,11 +1,20 @@
 """Layout optimizer: valid layouts, workload adaptation, cost descent."""
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro import datasets
+from repro.core import optimizer
 from repro.core.cost_model import FEATURES, CostModel
-from repro.core.optimizer import _estimate_stats, _flat_bounds, optimize_layout
+from repro.core.optimizer import (SAMPLE_QUERIES, SAMPLE_RECORDS, _estimate_stats, _flat_bounds,
+                                  optimize_layout)
 from repro.core.query import Query, query_from_dict
 from repro.indexes.flood import FloodIndex, Layout
+from repro.ml.random_forest import RandomForestRegressor
+from repro.workloads import make_workload
 
 
 def _data(n=5000, d=4, seed=0):
@@ -90,7 +99,7 @@ def test_estimate_stats_consistency():
     for qi, q in enumerate(wl):
         filtered[qi, q.filtered_dims] = True
     lay = Layout(order=[0, 1, 2, 3], cols=[8, 8, 2])
-    X = _estimate_stats(8000, flat, filtered, lay.order, lay.cols)
+    X = _estimate_stats(8000, flat, filtered, np.ones(len(wl), dtype=bool), lay.order, lay.cols)
     nc_col, ns_col = FEATURES.index("n_cells"), FEATURES.index("n_scanned")
     idx = FloodIndex(layout=lay).build(data)
     for qi, q in enumerate(wl):
@@ -109,7 +118,8 @@ def test_estimate_stats_named_columns():
     for qi, q in enumerate(wl):
         filtered[qi, q.filtered_dims] = True
     cols = [5, 3, 4]
-    X = _estimate_stats(6000, _flat_bounds(data, wl), filtered, [0, 1, 2, 3], cols)
+    X = _estimate_stats(6000, _flat_bounds(data, wl), filtered, np.ones(len(wl), dtype=bool),
+                        [0, 1, 2, 3], cols)
     col = {k: X[:, i] for i, k in enumerate(FEATURES)}
     assert X.shape == (len(wl), len(FEATURES))
     assert np.all(col["total_cells"] == np.prod(cols))
@@ -146,11 +156,55 @@ def test_flat_bounds_match_per_query_formula():
             assert got[qi, dim, 1].tobytes() == np.float64(want_hi).tobytes()
 
 
-def test_sampling_caps_respected(cm):
-    data = _data(n=30000)
-    wl = _range_wl(data, {0: 0.1}, n_q=300)
-    res = optimize_layout(data, wl, cm, sample_records=2000, sample_queries=20)
+def test_sampling_caps_respected(cm, monkeypatch):
+    """Above the caps, the optimizer flattens a sample of exactly
+    ``SAMPLE_RECORDS`` rows and ``SAMPLE_QUERIES`` queries."""
+    seen = []
+
+    def flat_bounds(sample, wl):
+        seen.append((len(sample), len(wl)))
+        return _flat_bounds(sample, wl)
+
+    monkeypatch.setattr(optimizer, "_flat_bounds", flat_bounds)
+    data = _data(n=3 * SAMPLE_RECORDS)
+    wl = _range_wl(data, {0: 0.1}, n_q=3 * SAMPLE_QUERIES)
+    res = optimize_layout(data, wl, cm)
+    assert seen == [(SAMPLE_RECORDS, SAMPLE_QUERIES)]
     assert res.layout.n_cells >= 1
+
+
+@pytest.fixture(scope="module")
+def fixed_cm():
+    """The cost model fitted, without timing, on the checked-in
+    calibration sample: the same forests on every machine."""
+    path = Path(__file__).parents[1] / "perfbench/fixed_model/calibration_sample.json"
+    sample = json.loads(path.read_text())
+    X = np.asarray(sample["X"])
+    forests = {k: RandomForestRegressor(**f["params"]).fit(X, np.asarray(f["y"]))
+               for k, f in sample["fits"].items()}
+    return CostModel(wp_model=forests["wp"], wr_model=forests["wr"], ws_model=forests["ws"])
+
+
+@pytest.mark.parametrize("bounds", [(9000.0, 100.0), (np.nan, 100.0), (5.0, np.nan)],
+                         ids=["inverted", "nan_lo", "nan_hi"])
+@pytest.mark.parametrize("dim", [2, 0])
+def test_empty_range_visits_no_cell(fixed_cm, bounds, dim):
+    """A query with an empty (inverted or NaN) range matches no row, so
+    every candidate layout, with the range's dim as a grid dim or as the
+    sort dim, prices it as visiting no cell and scanning no row: it adds 0
+    to the mean cost, the learned layout is the one the other 99 queries
+    learn, and no division by a zero span warns."""
+    cm = fixed_cm
+    data, _ = datasets.load("sales", n=6000)
+    wl = make_workload(data, "sales", 100, seed=1)[:99]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = optimize_layout(data, wl + [query_from_dict(6, {dim: bounds})], cm)
+    want = optimize_layout(data, wl, cm)
+    assert (res.layout.order, res.layout.cols) == (want.layout.order, want.layout.cols)
+    assert res.cost == pytest.approx(want.cost * 99 / 100, rel=1e-12)
+    assert res.cost >= 0
+    assert all(c >= 0 for c in res.per_sort_dim_costs.values())
 
 
 def test_empty_workload_raises(cm):

@@ -264,6 +264,24 @@ def test_one_dimensional_layout_is_one_cell(spark):
     assert (r["n_rows"], r["n_scanned"], r["n_matched"]) == (51, 51, 10)
 
 
+def test_empty_table_is_laid_out(spark, li_pdf):
+    """A table with no rows learns ``c − 1`` zero edges per grid dim,
+    which place no row: its layout scans nothing and matches DuckDB."""
+    pdf = li_pdf.iloc[:0]
+    df = spark.createDataFrame(li_pdf).limit(0)
+    sfl = learn_boundaries(df, Layout(order=[0, 1, 2], cols=[4, 2]), DIM_COLS[:3])
+    for edges, c in zip(sfl.grid.edges, (4, 2)):
+        np.testing.assert_array_equal(edges, np.zeros(c - 1))
+    laid = apply_flood_layout(df, sfl, num_partitions=2)
+    for bounds in ({}, {"l_orderkey": (100.0, 900.0)}, {"l_discount": (0.05, 0.05)}):
+        r = scan_counts(laid, sfl, bounds)
+        assert (r["n_rows"], r["n_scanned"], r["n_matched"]) == (0, 0, 0), bounds
+        got = flood_scan(laid, sfl, bounds).agg(F.count("*").alias("cnt"))
+        where = _sql_where(bounds) if bounds else "true"
+        assert_equivalent(got, f"SELECT count(*) AS cnt FROM lineitem WHERE {where}",
+                          lineitem=pdf)
+
+
 #: unpickles a cell-id function and its input Series from stdin, with any
 #: import of ``repro`` failing, and pickles its output and whether
 #: ``repro`` got imported to stdout
