@@ -88,6 +88,25 @@ def test_bench_scan(benchmark, scan_store, n_ranges, length):
     assert out.n_scanned == n_ranges * length
 
 
+@pytest.mark.benchmark(group="scan")
+@pytest.mark.parametrize("length", [8, 512])
+def test_bench_scan_touching(benchmark, scan_store, length):
+    """COUNT over 300 inexact ranges of ``length`` rows laid end to end,
+    which the scan reads as one slice."""
+    values, data, store, (lo, hi) = scan_store
+    n_ranges = 300
+    starts = np.arange(n_ranges, dtype=np.int64) * length
+    ends = starts + length
+    exact = np.zeros(n_ranges, dtype=bool)
+    q = query_from_dict(2, {0: (lo, hi)})
+    benchmark.name = f"scan {values} R={n_ranges} L={length} end to end"
+    out = benchmark(lambda: store.scan(starts, ends, exact, q))
+    rows = data[:n_ranges * length, 0]
+    assert out.n_matched == np.count_nonzero((rows >= lo) & (rows <= hi))
+    assert out.n_ranges == 1
+    assert out.n_scanned == n_ranges * length
+
+
 @pytest.mark.benchmark(group="calibration")
 def test_bench_cost_model_calibration(benchmark):
     cm = benchmark.pedantic(

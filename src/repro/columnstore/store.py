@@ -2,9 +2,9 @@
 
 Every index in this reproduction is a *layout* (a permutation of the rows
 into a physical order plus page/cell metadata) over one ``ColumnStore``.
-The store executes the scan step shared by all indexes and returns the
-query's :class:`~repro.core.query.QueryResult` holding the counters the
-paper's Table 2 reports (the index adds its own time and cell count):
+The store executes the scan step shared by all indexes, the one place where
+ranges merge, and returns the query's :class:`~repro.core.query.QueryResult`
+holding the counters Table 2 reports (the index adds its time and cells):
 
 * scanned points (→ scan overhead SO = scanned / matched),
 * scan wall time (ST; per-point TPS = ST / scanned),
@@ -152,18 +152,21 @@ class ColumnStore:
         the scan skips its check.
 
         Each other filtered column (and the SUM column) of the inexact
-        ranges is read as one slice per range, concatenated in range order;
-        a single range stays a view. A column with a filter copy is
-        filtered on its narrow codes (:func:`code_range`): one compare, or
-        none when the bounds hold all its values, and a range that holds
-        none of them matches no row. The matched rows, in the same order,
-        are those the float64 compare finds, so COUNT and SUM are the same
-        to the bit. The slices cost about half a microsecond each
-        per column, so many short ranges (a few rows each, as from a fine
-        grid) scan slower than long ones of the same total size: the cost
-        model prices that through its ``avg_run_len`` feature. The timer
-        covers only this function: indexes time their own
-        projection/refinement and report it separately (Table 2's IT).
+        ranges is read as slices concatenated in range order (one slice
+        stays a view); an inexact range that starts where the previous one
+        ends extends its slice, so ``n_ranges``, the exact ranges plus the
+        slices read, counts touching inexact ranges once. Exact ranges never
+        merge: each is one prefix-sum difference already. A column with a
+        filter copy is filtered on its narrow codes (:func:`code_range`):
+        one compare, or none when the bounds hold all its values, and a
+        range that holds none of them matches no row. The matched rows, in
+        the same order, are those the float64 compare finds, so COUNT and
+        SUM are the same to the bit. The slices cost about half a
+        microsecond each per column, so many short slices (a few rows each,
+        as from a fine grid) scan slower than long ones of the same total
+        size: the cost model prices that through its ``avg_run_len``
+        feature. The timer covers only this function: indexes time their
+        own projection/refinement and report it separately (Table 2's IT).
         """
         t0 = time.perf_counter()
         starts = np.asarray(starts, dtype=np.int64)
@@ -194,9 +197,13 @@ class ColumnStore:
                     for k in np.flatnonzero(direct).tolist():
                         sums[k] = agg_col[ex_s[k]:ex_e[k]].sum()
                     total += float(sums.sum())
+        slices = []
         if np.count_nonzero(inex):
             in_s, in_e = starts[inex].tolist(), ends[inex].tolist()
-            slices = list(map(slice, in_s, in_e))
+            for s, e in zip(in_s, in_e):
+                if slices and slices[-1].stop == s:  # it continues the last slice
+                    s = slices.pop().start
+                slices.append(slice(s, e))
             m = sum(in_e) - sum(in_s)
             n_scanned += m
             mask = None
@@ -243,7 +250,7 @@ class ColumnStore:
             n_scanned=n_scanned,
             n_matched=n_matched,
             n_exact=n_exact,
-            n_ranges=int(np.count_nonzero(keep)),
+            n_ranges=int(np.count_nonzero(ex)) + len(slices),
             scan_time=time.perf_counter() - t0,
         )
 

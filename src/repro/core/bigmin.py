@@ -24,11 +24,14 @@ def interleave(coords: np.ndarray, bits: int) -> np.ndarray:
     n, d = coords.shape
     if bits * d > 63:
         raise ValueError(f"{bits} bits x {d} dims exceeds 63-bit Z-values")
-    z = np.zeros(n, dtype=np.uint64)
-    for b in range(bits - 1, -1, -1):  # MSB first
-        for dim in range(d):
-            bit = (coords[:, dim] >> np.uint64(b)) & np.uint64(1)
-            z = (z << np.uint64(1)) | bit
+    # bit b of dimension dim lands at b·d + (d − 1 − dim), dimension 0
+    # highest in each round: every bit of a block of rows moves in one step
+    b = np.arange(bits, dtype=np.uint64)[:, None]
+    place = b * np.uint64(d) + np.arange(d - 1, -1, -1, dtype=np.uint64)
+    z = np.empty(n, dtype=np.uint64)
+    for i in range(0, n, 1 << 15):  # blocks bound the (rows, bits, d) temporaries
+        bit = (coords[i:i + (1 << 15), None, :] >> b) & np.uint64(1)
+        z[i:i + bit.shape[0]] = (bit << place).sum(axis=(1, 2), dtype=np.uint64)
     return z.astype(np.int64)
 
 

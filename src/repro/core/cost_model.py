@@ -33,8 +33,8 @@ FEATURES = (
     "cell_size_p99",
     "n_filtered_dims",
     "pts_per_cell",     # N_s / N_c — avg visited points per visited cell
-    "avg_run_len",      # scan locality: scanned points per nonempty range
-                        # (the optimizer estimates it as pts_per_cell)
+    "avg_run_len",      # scan locality: scanned points per range read, touching
+                        # inexact ones as one (optimizer: pts_per_cell)
     "exact_frac",       # fraction of scanned points inside exact sub-ranges
     "refined",          # 1 if the query filtered the sort dim
 )

@@ -44,7 +44,7 @@ def _flat_bounds(data_sample: np.ndarray, workload: list[Query]) -> np.ndarray:
 
     This is the "flatten the data sample and workload sample using RMIs
     trained on each dimension" step; the empirical CDF of the sample *is*
-    the flattened coordinate. An open (non-finite) bound flattens to 0 or 1.
+    the flattened coordinate. Only an open bound (-inf low, +inf high) is 0 or 1.
     """
     n, d = data_sample.shape
     bounds = np.array([q.ranges for q in workload], dtype=np.float64).reshape(-1, d, 2)
@@ -52,8 +52,8 @@ def _flat_bounds(data_sample: np.ndarray, workload: list[Query]) -> np.ndarray:
     for dim in range(d):
         col = np.sort(data_sample[:, dim])
         lo, hi = bounds[:, dim, 0], bounds[:, dim, 1]
-        out[:, dim, 0] = np.where(np.isfinite(lo), col.searchsorted(lo, "left") / n, 0.0)
-        out[:, dim, 1] = np.where(np.isfinite(hi), col.searchsorted(hi, "right") / n, 1.0)
+        out[:, dim, 0] = np.where(lo == -np.inf, 0.0, col.searchsorted(lo, "left") / n)
+        out[:, dim, 1] = np.where(hi == np.inf, 1.0, col.searchsorted(hi, "right") / n)
     return out
 
 

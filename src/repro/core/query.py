@@ -91,7 +91,7 @@ class QueryResult:
     scan_time: float = 0.0
     n_cells: int = 0
     n_exact: int = 0  # points scanned inside exact sub-ranges (§7.1)
-    n_ranges: int = 0  # nonempty physical ranges scanned
+    n_ranges: int = 0  # exact ranges plus slices read (touching inexact ranges: one)
     extra: dict = field(default_factory=dict)
 
     @property

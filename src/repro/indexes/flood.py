@@ -17,10 +17,10 @@ visited cell into the physical range of its rows whose sort-dim value
 lies in the query's range. Rows are stored sorted by the int64 key
 ``cell id · U + rank of the sort value`` (U distinct sort values, NaN
 ranked last), so two binary searches of that key, for the range starts
-and the range ends, find every range at once; *scan* executes on the
-column store, one column slice per range, with ranges proven exact
-skipping per-point checks (§7.1) and every range skipping the sort-dim
-check, which refinement has made exact.
+and the range ends, find every cell's range at once; *scan* executes on
+the column store, which reads touching inexact ranges as one slice, with
+ranges proven exact skipping per-point checks (§7.1) and every range
+skipping the sort-dim check, which refinement has made exact.
 
 The scan returns the query's ``QueryResult``; Flood sets on it its index
 time, its visited cell count and, in ``extra``, its projection and
@@ -276,32 +276,20 @@ class FloodIndex(BaseIndex):
         visited cell, since cell ``k``'s rows with sort-key rank in
         ``[r_lo, r_hi)`` are those with key in ``[k·U + r_lo, k·U + r_hi)``.
 
-        Returns the nonempty ``[start, end)`` ranges and their exactness:
-        refinement makes the sort dim exact, so a range is exact when its
-        cell is interior in every grid dim. Unrefined contiguous cells of
-        equal exactness merge into one range.
+        Returns one ``[start, end)`` range per visited cell, in cell order,
+        and its exactness: refinement makes the sort dim exact, so a range
+        is exact when its cell is interior in every grid dim. The scan drops
+        the empty ranges and reads touching inexact ones as one slice.
         """
         keys = self.sort_keys
-        sort_filtered = not (lo == -math.inf and hi == math.inf)
         r_lo, r_hi = 0, keys.size
-        if sort_filtered:
+        if not (lo == -math.inf and hi == math.inf):
             # NaN is the last key, so +inf cuts before it; a NaN bound
             # never gets here, as its projection visits no cell
             r_lo = keys.searchsorted(lo, "left")
             r_hi = keys.searchsorted(hi, "right")
         base = cells * keys.size
-        starts = self.key.searchsorted(base + r_lo)
-        ends = self.key.searchsorted(base + r_hi)
-        keep = ends > starts
-        starts, ends, exact = starts[keep], ends[keep], interior_ok[keep]
-        if not sort_filtered and starts.size > 1:
-            # cells ascend, so a range continues the previous one when it
-            # starts where that one ends and has the same exactness
-            cut = (starts[1:] != ends[:-1]) | (exact[1:] != exact[:-1])
-            head = np.concatenate(([True], cut))
-            tail = np.concatenate((cut, [True]))
-            starts, ends, exact = starts[head], ends[tail], exact[head]
-        return starts, ends, exact
+        return self.key.searchsorted(base + r_lo), self.key.searchsorted(base + r_hi), interior_ok
 
     # -- introspection -------------------------------------------------------
     def _index_size_bytes(self) -> int:

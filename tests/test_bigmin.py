@@ -1,7 +1,8 @@
 """Z-order encode/decode and BIGMIN, validated exhaustively vs brute force;
 the array BIGMIN and the UB-tree's ranges against the scalar BIGMIN and
-the per-page walk they replaced, and the query corners' Z-values against
-the per-corner encoding they replaced."""
+the per-page walk they replaced, the query corners' Z-values against the
+per-corner encoding they replaced, and the Z-values against the bit-by-bit
+encoding they replaced."""
 import itertools
 
 import numpy as np
@@ -170,6 +171,21 @@ def assert_ranges_match_walk(idx: UBTree, q) -> None:
     assert n_cells == want_cells and not exact.any()
 
 
+# -- the bit-by-bit Morton encoding, as it was -------------------------------
+def _reference_interleave(coords: np.ndarray, bits: int) -> np.ndarray:
+    """Morton-encode (n, d) uint coords with ``bits`` bits/dim into int64 Z-values."""
+    coords = np.asarray(coords, dtype=np.uint64)
+    n, d = coords.shape
+    if bits * d > 63:
+        raise ValueError(f"{bits} bits x {d} dims exceeds 63-bit Z-values")
+    z = np.zeros(n, dtype=np.uint64)
+    for b in range(bits - 1, -1, -1):  # MSB first
+        for dim in range(d):
+            bit = (coords[:, dim] >> np.uint64(b)) & np.uint64(1)
+            z = (z << np.uint64(1)) | bit
+    return z.astype(np.int64)
+
+
 # -- encoding -----------------------------------------------------------------
 def test_interleave_2d_known_values():
     # classic Morton order for 2-bit 2D: (x,y) -> z with dim0 as MSB of each pair
@@ -181,6 +197,39 @@ def test_interleave_2d_known_values():
 def test_interleave_is_bijective():
     coords, z = brute_zvals(3, 3)
     assert len(set(z.tolist())) == len(z)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_interleave_matches_bit_loop_at_index_widths(d):
+    """Random coordinates at the indexes' width, min(63 // d, 16) bits, and
+    at 1 bit, the corners of the grid included, across row blocks."""
+    rng = np.random.default_rng(d)
+    for bits in (min(63 // d, 16), 1):
+        coords = rng.integers(0, 2**bits, (70_000, d)).astype(np.uint64)
+        coords[0], coords[1] = 0, 2**bits - 1
+        z = interleave(coords, bits)
+        assert z.dtype == np.int64
+        np.testing.assert_array_equal(z, _reference_interleave(coords, bits))
+    assert interleave(np.zeros((0, d), dtype=np.uint64), 1).size == 0
+
+
+@pytest.mark.parametrize("name", ["sales", "tpch", "osm", "perfmon"])
+def test_interleave_matches_bit_loop_on_test_datasets(name):
+    """At test scale, Z-order's build coordinates and the corners of
+    Table 2's test queries get the bit loop's Z-values."""
+    data, _ = datasets.load(name, n=datasets.TEST_ROWS[name])
+    idx = ZOrderIndex(page_size=1024).build(data, make_workload(data, name, 100, seed=1))
+    coords = quantize(data, idx.mins, idx.maxs, idx.bits)[:, idx.dim_order]
+    np.testing.assert_array_equal(interleave(coords, idx.bits),
+                                  _reference_interleave(coords, idx.bits))
+    for q in make_workload(data, name, 100, seed=2):
+        bounds = q.ranges.T
+        corners = np.where(np.isfinite(bounds), bounds, (idx.mins, idx.maxs))
+        coords = quantize(np.clip(corners, idx.mins, idx.maxs), idx.mins, idx.maxs, idx.bits)
+        coords[1, bounds[1] == np.inf] = 2**idx.bits - 1
+        coords = coords[:, idx.dim_order]
+        np.testing.assert_array_equal(interleave(coords, idx.bits),
+                                      _reference_interleave(coords, idx.bits))
 
 
 def test_quantize_bounds():

@@ -107,6 +107,28 @@ def test_unfiltered_query_counts_everything_exactly():
     assert r.n_exact == 2000  # no filters → every range exact
 
 
+def test_touching_cell_ranges_read_as_one_range():
+    """The visited cells of one dim-0 column, run through dim 1's columns,
+    are consecutive. Their ranges are inexact (dim 0's filter cuts the
+    column) and hold whole cells, so each starts where the previous one
+    ends and the scan reads them as one range, whether or not the query
+    refines the sort dim. Exact cell ranges are never merged."""
+    data = make_data("uniform", n=3000)
+    idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[4, 4, 3])).build(data)
+    lo, hi = idx.grid.edges[0][1], idx.grid.edges[0][2]
+    for sort in ({}, {3: (-1.0, 101.0)}):  # unrefined, refined to every row
+        q = query_from_dict(4, {0: (lo + 1.0, hi - 1.0), 2: (-1.0, 101.0), **sort})
+        r = idx.query(q)
+        assert r.n_cells == 12 and r.n_exact == 0
+        assert r.n_ranges == 1
+        assert r.value == q.mask(data).sum()
+        assert r.n_scanned == ((data[:, 0] >= lo) & (data[:, 0] < hi)).sum()
+    # no filter: every cell is interior, one exact range per nonempty cell
+    r = idx.query(query_from_dict(4, {}))
+    assert r.n_exact == r.n_scanned == 3000
+    assert r.n_ranges == np.count_nonzero(np.diff(idx.cell_starts))
+
+
 def test_equality_filter_on_sort_dim():
     data = make_data("uniform", n=3000).round(0)
     idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[4, 4, 4])).build(data)

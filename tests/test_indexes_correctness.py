@@ -434,6 +434,29 @@ def test_page_box_test_equals_a_loop_over_the_pages(name, values):
     assert n_exact > 0 or name != "grid_file"
 
 
+@pytest.mark.parametrize("name", list(_PAGED))
+def test_hit_pages_in_a_row_scan_as_one_range(built, name):
+    """The scan reads each run of consecutive hit pages as one range: a
+    paged index's ``n_ranges`` is the number of maximal runs of consecutive
+    inexact hit pages, plus its exact pages (Grid File buckets inside the
+    rectangle), which are never merged."""
+    n_runs = n_hits = 0
+    for kind in ("uniform", "skewed", "discrete"):
+        data, indexes = built[kind]
+        idx = indexes[name]
+        for q in _queries(data, 30, seed=40) + [query_from_dict(D, {0: (10.0, 60.0)})]:
+            ranges, n_pages = _loop_ranges(idx, q)
+            pages = np.searchsorted(idx.starts, [s for s, _, _ in ranges], side="right") - 1
+            exact = np.array([x for _, _, x in ranges], dtype=bool)
+            inexact = pages[~exact]
+            want = int(exact.sum()) + int(np.count_nonzero(np.diff(inexact) != 1)) + bool(
+                inexact.size)
+            assert idx.query(q).n_ranges == want, (kind, q.ranges)
+            n_runs += want
+            n_hits += n_pages
+    assert n_runs < n_hits  # some hit pages lie in a row
+
+
 def test_grid_file_bucket_under_a_query_top_at_its_largest_value_is_exact():
     """A bucket whose closed top equals the query's top lies inside the
     rectangle: the column max makes every bucket exact along that dim, and

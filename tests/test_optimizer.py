@@ -136,7 +136,8 @@ def test_estimate_stats_named_columns():
 
 def test_flat_bounds_match_per_query_formula():
     """The vectorized flattening equals the per-query formula bit for bit,
-    on open (±inf), NaN, inverted and out-of-domain bounds too."""
+    on open (-inf low, +inf high), infinite, NaN, inverted and
+    out-of-domain bounds too."""
     rng = np.random.default_rng(8)
     sample = np.column_stack([rng.random(500) * 100, rng.lognormal(0, 2, 500),
                               rng.integers(0, 5, 500).astype(float)])
@@ -150,10 +151,21 @@ def test_flat_bounds_match_per_query_formula():
         for dim in range(3):
             col = np.sort(sample[:, dim])
             lo, hi = q.ranges[dim]
-            want_lo = np.searchsorted(col, lo, side="left") / n if np.isfinite(lo) else 0.0
-            want_hi = np.searchsorted(col, hi, side="right") / n if np.isfinite(hi) else 1.0
+            want_lo = np.searchsorted(col, lo, side="left") / n if lo != -np.inf else 0.0
+            want_hi = np.searchsorted(col, hi, side="right") / n if hi != np.inf else 1.0
             assert got[qi, dim, 0].tobytes() == np.float64(want_lo).tobytes()
             assert got[qi, dim, 1].tobytes() == np.float64(want_hi).tobytes()
+
+
+def test_flat_bounds_open_only_at_minus_inf_low_and_plus_inf_high():
+    """``[inf, inf]`` holds only the +inf values and ``[-inf, -inf]`` only
+    the -inf ones, so neither flattens to the whole dimension ``(0, 1)``;
+    a bound of +inf above and -inf below stays open."""
+    sample = np.arange(100, dtype=np.float64)[:, None]
+    wl = [Query([[lo, hi]]) for lo, hi in ((np.inf, np.inf), (-np.inf, -np.inf), (200.0, np.inf),
+                                            (-np.inf, np.inf), (-np.inf, 49.0), (50.0, np.inf))]
+    got = _flat_bounds(sample, wl)[:, 0].tolist()
+    assert got == [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.5], [0.5, 1.0]]
 
 
 def test_sampling_caps_respected(cm, monkeypatch):
