@@ -46,6 +46,23 @@ _BLOCK = 1 << 16
 _CODE_TYPES = (np.uint8, np.uint16, np.uint32)
 #: integers up to this magnitude are all exact in float64
 _EXACT_INT = 2.0 ** 53
+#: the largest float64
+_MAX = float(np.finfo(np.float64).max)
+
+
+def wild_sums(c: np.ndarray) -> bool:
+    """Whether a sum over values of ``c`` can pass the float range or meet
+    ±inf: some value's magnitude times the row count exceeds the largest
+    float (NaN left out, ±inf included). numpy warns of the overflow and of
+    ``inf − inf``, so sums over such a column run with those warnings off;
+    on any other column they stay on."""
+    return bool(c.size) and bool(np.fmax.reduce(np.abs(c)) > _MAX / c.size)
+
+
+def _quiet(wild: bool):
+    """The context a sum over a column runs in: overflow and invalid
+    warnings off for a column of :func:`wild_sums`, else none."""
+    return np.errstate(over="ignore", invalid="ignore") if wild else nullcontext()
 
 
 def prefix_sums(c: np.ndarray) -> np.ndarray:
@@ -58,7 +75,7 @@ def prefix_sums(c: np.ndarray) -> np.ndarray:
     p = np.empty(c.size + 1)
     p[0] = 0.0
     err = np.empty(c.size)
-    with np.errstate(invalid="ignore"):
+    with _quiet(wild_sums(c)):
         np.cumsum(c, out=p[1:])
         for i in range(0, c.size, _BLOCK):
             x = c[i:i + _BLOCK]
@@ -127,10 +144,9 @@ class ColumnStore:
         self.cols = [np.ascontiguousarray(data[:, j]) for j in range(self.d)]
         # prefix sums for O(1) SUM over exact ranges; cumcount is implicit
         self._cums = [prefix_sums(c) for c in self.cols]
-        # a SUM over both +inf and -inf is NaN, as it should be, but numpy
-        # also warns: sums of a column holding both run with that warning off
-        self._both_infs = [bool(np.isposinf(c).any() and np.isneginf(c).any())
-                           for c in self.cols]
+        # a SUM that overflows is ±inf and one over both infinities NaN, as
+        # they should be, but numpy also warns: see wild_sums
+        self._wild = [wild_sums(c) for c in self.cols]
         # per column: its filter copy (codes, base, top), or None to filter
         # the float64 column itself
         self._codes = [narrow(c) for c in self.cols]
@@ -190,7 +206,7 @@ class ColumnStore:
                 ps, pe = cs[ex_s], cs[ex_e]
                 # prefix sums are within half an ulp, so pe - ps errs by
                 # under 2**-52·(|ps| + |pe|); NaN (inf - inf) fails the test too
-                with np.errstate(invalid="ignore"):
+                with _quiet(self._wild[q.agg_dim]):
                     sums = pe - ps
                     direct = ~(np.ldexp(np.abs(ps) + np.abs(pe), -52)
                                <= SUM_RTOL * np.abs(sums))
@@ -207,9 +223,10 @@ class ColumnStore:
             m = sum(in_e) - sum(in_s)
             n_scanned += m
             mask = None
-            for dim, (lo, hi) in enumerate(q.ranges.tolist()):
-                if dim == met_dim or (lo == -math.inf and hi == math.inf):
-                    continue  # met by the ranges, or unfiltered
+            for dim in q.filtered_dims:
+                if dim == met_dim:
+                    continue  # met by the ranges
+                lo, hi = q.bounds[dim]
                 narrow_col = self._codes[dim]
                 if narrow_col is None:
                     col = _take(self.cols[dim], slices)
@@ -242,8 +259,7 @@ class ColumnStore:
                 vals = _take(agg_col, slices)
                 if mask is not None:
                     vals = vals[mask]
-                with (np.errstate(invalid="ignore") if self._both_infs[q.agg_dim]
-                      else nullcontext()):
+                with _quiet(self._wild[q.agg_dim]):
                     total += float(vals.sum())
         return QueryResult(
             value=total,

@@ -40,9 +40,13 @@ def quantize(data: np.ndarray, mins: np.ndarray, maxs: np.ndarray, bits: int) ->
 
     ``mins`` and ``maxs`` must be finite; values outside them, ±inf
     included, clip to the first or last coordinate, and NaN takes the last
-    (as in Flood, whose last column holds NaN)."""
-    span = np.maximum(maxs - mins, 1e-300)
-    q = ((data - mins) / span) * (2**bits - 1)
+    (as in Flood, whose last column holds NaN). A dimension whose span
+    ``maxs − mins`` passes the float range is scaled in halves, which
+    cannot overflow; every other one in whole values, as halving would
+    move subnormal values."""
+    s = np.where(maxs / 2 - mins / 2 > np.finfo(np.float64).max / 2, 0.5, 1.0)
+    span = np.maximum(maxs * s - mins * s, 1e-300)
+    q = ((data * s - mins * s) / span) * (2**bits - 1)
     # fmin maps NaN to the top coordinate before the cast
     return np.fmax(np.fmin(np.floor(q + 0.5), 2**bits - 1), 0).astype(np.uint64)
 

@@ -69,7 +69,7 @@ def measured_features(idx: FloodIndex, queries: list[Query],
         cell_size_mean=sizes.mean(),
         cell_size_median=np.median(sizes),
         cell_size_p99=np.quantile(sizes, 0.99),
-        n_filtered_dims=[q.filtered_dims.size for q in queries],
+        n_filtered_dims=[len(q.filtered_dims) for q in queries],
         pts_per_cell=n_scanned / np.maximum(1, n_cells),
         avg_run_len=n_scanned / np.maximum(1, n_ranges),
         exact_frac=n_exact / np.maximum(1, n_scanned),

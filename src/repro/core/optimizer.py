@@ -126,8 +126,8 @@ def optimize_layout(data: np.ndarray, workload: list[Query], cost_model: CostMod
     flat = _flat_bounds(sample, wl)
     filtered = np.zeros((len(wl), d), dtype=bool)
     for qi, q in enumerate(wl):
-        filtered[qi, q.filtered_dims] = True
-    live = np.array([(q.ranges[:, 0] <= q.ranges[:, 1]).all() for q in wl])
+        filtered[qi, list(q.filtered_dims)] = True
+    live = np.array([not q.empty for q in wl])
     max_cells = max(64, n // 8)
     sel = [int(x) for x in selectivity_order(data, wl)]
 

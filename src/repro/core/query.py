@@ -8,6 +8,8 @@ any other range filters its dimension, so ``(inf, inf)`` matches the
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,12 @@ class Query:
     dimension; (-inf, +inf) marks an unfiltered dimension. ``agg`` is either
     ``"count"`` or ``"sum"``; for SUM, ``agg_dim`` names the aggregated
     column.
+
+    A query works out three facts once, when it is made, which every index,
+    the store and the optimizer read: ``bounds``, one ``(lo, hi)`` of Python
+    floats per dimension; ``filtered_dims``, the ascending tuple of the
+    dimensions whose range is not exactly (-inf, +inf); and ``empty``: some
+    range fails ``lo <= hi`` (inverted, or a NaN bound), so no row matches.
     """
 
     ranges: np.ndarray
@@ -31,32 +39,31 @@ class Query:
     agg_dim: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ranges", np.asarray(self.ranges, dtype=np.float64))
+        # a read-only copy, so the facts below cannot go stale
+        object.__setattr__(self, "ranges", np.array(self.ranges, dtype=np.float64))
+        self.ranges.flags.writeable = False
         if self.ranges.ndim != 2 or self.ranges.shape[1] != 2:
             raise ValueError(f"ranges must be (d, 2), got {self.ranges.shape}")
         if self.agg not in (AGG_COUNT, AGG_SUM):
             raise ValueError(f"unknown agg {self.agg!r}")
+        los, his = self.ranges.T.tolist()  # Python floats beat numpy per element
+        object.__setattr__(self, "bounds", tuple(zip(los, his)))
+        object.__setattr__(self, "filtered_dims", tuple(
+            [k for k, (lo, hi) in enumerate(self.bounds) if lo != -math.inf or hi != math.inf]))
+        object.__setattr__(self, "empty", not all(map(operator.le, los, his)))
 
     @property
     def d(self) -> int:
         return self.ranges.shape[0]
 
-    @property
-    def filtered_dims(self) -> np.ndarray:
-        """Indices of dimensions whose range is not exactly (-inf, +inf)."""
-        return np.where(
-            (self.ranges[:, 0] != -np.inf) | (self.ranges[:, 1] != np.inf)
-        )[0]
-
     def filters(self, dim: int) -> bool:
-        lo, hi = self.ranges[dim]
-        return not (lo == -np.inf and hi == np.inf)
+        return dim in self.filtered_dims
 
     def mask(self, data: np.ndarray) -> np.ndarray:
         """Brute-force boolean match mask over an (n, d) matrix (test oracle)."""
         m = np.ones(data.shape[0], dtype=bool)
         for dim in self.filtered_dims:
-            lo, hi = self.ranges[dim]
+            lo, hi = self.bounds[dim]
             m &= (data[:, dim] >= lo) & (data[:, dim] <= hi)
         return m
 

@@ -28,6 +28,7 @@ n_matched, TPS = ST / n_scanned, TT = IT + ST.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -78,11 +79,8 @@ class BaseIndex:
         """Answer ``q`` from :meth:`_ranges` (Flood overrides this to time
         its projection and refinement apart)."""
         t0 = time.perf_counter()
-        lo, hi = q.ranges.T
-        # an empty table, or an empty (inverted or NaN) range on any
-        # dimension, matches no row
-        starts, ends, exact, n_cells = (self._ranges(q) if self.n and (lo <= hi).all()
-                                        else NO_RANGES)
+        # an empty table, or an empty query, matches no row
+        starts, ends, exact, n_cells = self._ranges(q) if self.n and not q.empty else NO_RANGES
         index_time = time.perf_counter() - t0
         r = self.store.scan(starts, ends, exact, q, self.met_dim)
         r.index_time, r.n_cells = index_time, n_cells
@@ -103,6 +101,10 @@ class BaseIndex:
     def _index_size_bytes(self) -> int:
         return 0
 
+
+#: the largest float64, and half of it
+_MAX = float(np.finfo(np.float64).max)
+_HALF_MAX = _MAX / 2
 
 #: the ranges of a query that scans nothing
 NO_RANGES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
@@ -179,20 +181,35 @@ def halving_root(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     halve, holding the non-NaN values of ``data`` (n, d), and the extent of
     the finite values, top exclusive, that :func:`midpoint` clamps to."""
     flo, fhi = finite_extent(data)
-    return (np.fmin.reduce(data, axis=0), np.nextafter(np.fmax.reduce(data, axis=0), np.inf),
-            (flo, np.nextafter(fhi, np.inf)))
+    top = np.fmax.reduce(data, axis=0)
+    # above the largest float is +inf: numpy warns of that step's overflow
+    with np.errstate(over="ignore") if ((top == _MAX) | (fhi == _MAX)).any() else nullcontext():
+        return (np.fmin.reduce(data, axis=0), np.nextafter(top, np.inf),
+                (flo, np.nextafter(fhi, np.inf)))
+
+
+def halfway(a, b):
+    """``(a + b) / 2``, taken as ``a/2 + b/2`` where ``a`` or ``b`` passes
+    half the largest float, so two huge values of one sign do not overflow.
+    Halving such values is exact, so wherever the plain sum is finite the
+    result is its bits."""
+    s = np.where(np.maximum(np.abs(a), np.abs(b)) > _HALF_MAX, 0.5, 1.0)
+    return (a * s + b * s) / (2 * s)
 
 
 def midpoint(lo: np.ndarray, hi: np.ndarray, finite: tuple) -> np.ndarray:
     """Midpoints of the box ``[lo, hi)``, its edges clamped to the
     ``finite`` extent first, so ±inf rows stay in the edge boxes."""
-    return (np.clip(lo, *finite) + np.clip(hi, *finite)) / 2
+    return halfway(np.clip(lo, *finite), np.clip(hi, *finite))
 
 
 def closed_top(hi: np.ndarray) -> np.ndarray:
     """The top of the closed box holding the floats of ``[lo, hi)``: the
-    next float below ``hi``, but +inf stays, as that box holds the +inf rows."""
-    return np.where(hi == np.inf, hi, np.nextafter(hi, -np.inf))
+    next float below ``hi``, but +inf stays, as that box holds the +inf rows.
+    Below the lowest float a box holds only −inf, its top; numpy warns of
+    that step's overflow, so only such boxes take it with the warning off."""
+    with np.errstate(over="ignore") if (hi == -_MAX).any() else nullcontext():
+        return np.where(hi == np.inf, hi, np.nextafter(hi, -np.inf))
 
 
 def selectivity_order(data: np.ndarray, workload: list[Query]) -> np.ndarray:
@@ -213,7 +230,7 @@ def selectivity_order(data: np.ndarray, workload: list[Query]) -> np.ndarray:
     sorted_cols = [np.sort(data[:, j]) for j in range(d)]
     for q in workload:
         for dim in q.filtered_dims:
-            lo, hi = q.ranges[dim]
+            lo, hi = q.bounds[dim]
             col = sorted_cols[dim]
             if lo <= hi:
                 sel_sum[dim] += (col.searchsorted(hi, "right")

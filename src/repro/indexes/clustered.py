@@ -45,9 +45,9 @@ class ClusteredIndex(BaseIndex):
         sd = self.sort_dim
         if not q.filters(sd):
             return np.array([0]), np.array([self.n]), np.array([False]), 0
-        s, e = self.rmi.lookup_range(*q.ranges[sd])
+        s, e = self.rmi.lookup_range(*q.bounds[sd])
         # exact iff the clustered dim is the only filtered dim
-        exact = q.filtered_dims.size == 1
+        exact = len(q.filtered_dims) == 1
         return np.array([s]), np.array([e]), np.array([exact]), 1
 
     def _index_size_bytes(self) -> int:

@@ -116,6 +116,26 @@ def default_layout(data: np.ndarray, workload: list[Query]) -> Layout:
     return Layout(order=grid + [sort_dim], cols=[c] * (d - 1))
 
 
+def cell_id_function(edges: list[np.ndarray], strides: list[int]):
+    """The cell numbering of a grid whose grid dims, in layout order, have
+    these ascending column ``edges`` and row-major ``strides``: a function
+    of one value array per grid dim that gives each row's cell id.
+
+    It is a closure over plain arrays and ints that names only ``np``, so
+    Spark's Python workers, which may not find ``repro``, run it too. A
+    grid dim of one column has no edges and its column is always 0, so
+    the numbering skips it."""
+    dims = [(k, e, stride) for k, (e, stride) in enumerate(zip(edges, strides)) if e.size]
+
+    def cell_ids(*values: np.ndarray) -> np.ndarray:
+        ids = np.zeros(len(values[0]), dtype=np.int64)
+        for k, e, stride in dims:
+            ids += np.searchsorted(e, values[k], side="right") * stride
+        return ids
+
+    return cell_ids
+
+
 def _no_cells():
     """The projection of a query that visits no cell."""
     return np.empty(0, dtype=np.int64), [], np.empty(0, dtype=bool)
@@ -138,42 +158,38 @@ class Grid:
         # where bisect cannot, so each list holds the non-NaN prefix only
         self.edge_lists = [e[~np.isnan(e)].tolist() for e in self.edges]
         self.strides = [int(math.prod(layout.cols[i + 1:])) for i in range(len(layout.cols))]
+        self._number = cell_id_function(self.edges, self.strides)
 
     def cell_ids(self, data: np.ndarray) -> np.ndarray:
-        """The cell id of each row of ``data`` (n, d)."""
-        ids = np.zeros(data.shape[0], dtype=np.int64)
-        for dim, edges, stride in zip(self.layout.grid_dims, self.edges, self.strides):
-            ids += column_of(edges, data[:, dim]) * stride
-        return ids
+        """The cell id of each row of ``data`` (n, d): the numbering of
+        :func:`cell_id_function` over the grid dims' columns."""
+        if not self.strides:  # no grid dim: every row is in cell 0
+            return np.zeros(data.shape[0], dtype=np.int64)
+        return self._number(*(data[:, dim] for dim in self.layout.grid_dims))
 
     def project(self, q: Query):
         """Intersect the query rectangle with the grid (§3.2.1).
 
         Returns the visited cell ids (ascending), each grid dim's inclusive
         column range, and per visited cell whether every grid-dim filter
-        holds for all its rows (a candidate for exactness). An empty range
-        (``not lo <= hi``: inverted or NaN) on any dimension, the sort dim
-        included, visits no cell.
+        holds for all its rows (a candidate for exactness). An empty query
+        (``Query.empty``) visits no cell.
 
-        The column ranges come from Python scalars (one ``bisect`` per
-        bound); only the cells and their flags are numpy arrays, an outer
-        sum over the dims that span more than one column.
+        The column ranges come from ``Query.bounds``, Python floats (one
+        ``bisect`` per bound); only the cells and their flags are numpy
+        arrays, an outer sum over the dims that span more than one column.
         """
-        layout = self.layout
-        ranges = q.ranges.tolist()
-        lo, hi = ranges[layout.sort_dim]
-        if not lo <= hi:
+        if q.empty:
             return _no_cells()
+        layout = self.layout
         col_ranges: list[tuple[int, int]] = []
         const, iconst = 0, True
         spans = []  # (first cell term, column count, stride, first/last interior)
         for dim, c, e, nf, stride in zip(layout.grid_dims, layout.cols, self.edge_lists,
                                          self.nan_free, self.strides):
-            lo, hi = ranges[dim]
+            lo, hi = q.bounds[dim]
             if lo == -math.inf and hi == math.inf:
                 clo, chi, first, last = 0, c - 1, True, True
-            elif not lo <= hi:
-                return _no_cells()
             else:
                 # only ±inf is open
                 clo = 0 if lo == -math.inf else bisect.bisect_right(e, lo)
@@ -257,11 +273,10 @@ class FloodIndex(BaseIndex):
     def _query(self, q: Query) -> QueryResult:
         """Overrides BaseIndex._query to time projection/refinement separately
         (the cost model's w_p / w_r targets, §4.1.1)."""
-        lo, hi = q.ranges[self.layout.sort_dim].tolist()
         t0 = time.perf_counter()
         cells, _, interior_ok = self.grid.project(q)
         t1 = time.perf_counter()
-        starts, ends, exact = self._refine(lo, hi, cells, interior_ok)
+        starts, ends, exact = self._refine(*q.bounds[self.layout.sort_dim], cells, interior_ok)
         t2 = time.perf_counter()
 
         # refinement cut the sort dim exactly, so its check is skipped

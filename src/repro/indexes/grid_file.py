@@ -139,10 +139,9 @@ class GridFile(PagedIndex):
         qlo, qhi = q.ranges[:, 0], q.ranges[:, 1]
         # a bucket inside the rectangle matches on every row, unless it
         # holds NaN, which matches no filter, in a filtered dimension
-        filtered = (qlo != -np.inf) | (qhi != np.inf)
         exact = ((self.lo[hit] >= qlo).all(axis=1)
                  & (self.hi[hit] <= qhi).all(axis=1)
-                 & ~(self.has_nan[hit] & filtered).any(axis=1))
+                 & ~self.has_nan[hit][:, list(q.filtered_dims)].any(axis=1))
         return self.starts[hit], self.ends[hit], exact, hit.size
 
     def _index_size_bytes(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.query import Query
-from repro.indexes.base import PagedIndex, selectivity_order
+from repro.indexes.base import PagedIndex, halfway, selectivity_order
 
 
 class KDTree(PagedIndex):
@@ -52,7 +52,13 @@ class KDTree(PagedIndex):
             known = vals[~np.isnan(vals)]
             if not known.size:
                 continue
-            med = float(np.median(known))
+            # np.median's two middle values and their mean, without its
+            # overflow: between −inf and +inf there is none, as for np.median
+            k = known.size
+            a, b = np.partition(known, [(k - 1) // 2, k // 2])[[(k - 1) // 2, k // 2]]
+            if a == -np.inf and b == np.inf:
+                continue
+            med = float(halfway(a, b))
             left = vals < med
             if left.any() and not left.all():
                 return dim, med, left

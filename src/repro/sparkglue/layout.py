@@ -9,7 +9,7 @@ DataFrame filters with data skipping"):
    from a sample, so a full sample puts every row in the cell
    ``FloodIndex`` gives it.
 2. :func:`apply_flood_layout` — a pandas UDF assigns each row its cell id
-   (``Grid.cell_ids``, inlined over the grid's edges and strides), then
+   (``Grid.cell_ids``' own numbering, :func:`pandas_cell_ids`), then
    ``repartitionByRange(cell_id)`` +
    ``sortWithinPartitions(cell_id, sort_dim)`` materializes exactly
    Flood's storage order: cells contiguous, sort-dim ordered within.
@@ -31,7 +31,7 @@ from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType
 
 from repro.core.query import query_from_dict
-from repro.indexes.flood import Grid, Layout, column_edges
+from repro.indexes.flood import Grid, Layout, cell_id_function, column_edges
 
 CELL_COL = "__flood_cell"
 
@@ -69,16 +69,15 @@ def learn_boundaries(df: DataFrame, layout: Layout, dim_cols: list[str],
     return SparkFloodLayout(grid=grid, dim_cols=dim_cols)
 
 
-def cell_id_function(edges: list[np.ndarray], strides: list[int]):
+def pandas_cell_ids(grid: Grid):
     """``Grid.cell_ids`` over one pandas Series per grid dim, in layout
-    order: a closure over plain arrays and ints that imports nothing from
-    ``repro``, since Spark's Python workers may not find it."""
+    order: the grid's :func:`repro.indexes.flood.cell_id_function` in a
+    closure that names only ``np`` and ``pd``, since Spark's Python
+    workers may not find ``repro``."""
+    number = cell_id_function(grid.edges, grid.strides)
 
     def cell_ids(*series: pd.Series) -> pd.Series:
-        ids = np.zeros(len(series[0]), dtype=np.int64)
-        for s, e, stride in zip(series, edges, strides):
-            ids += np.searchsorted(e, s.to_numpy(dtype=np.float64), side="right") * stride
-        return pd.Series(ids)
+        return pd.Series(number(*(s.to_numpy(dtype=np.float64) for s in series)))
 
     return cell_ids
 
@@ -90,7 +89,7 @@ def cell_id_expr(sfl: SparkFloodLayout):
     grid = sfl.grid
     if not grid.strides:  # no grid dim: every row is in cell 0
         return F.lit(0).cast(LongType())
-    cell_ids = pandas_udf(cell_id_function(grid.edges, grid.strides), LongType())
+    cell_ids = pandas_udf(pandas_cell_ids(grid), LongType())
     return cell_ids(*[F.col(sfl.dim_cols[dm]) for dm in grid.layout.grid_dims])
 
 

@@ -478,3 +478,53 @@ def test_grid_file_bucket_under_a_query_top_at_its_largest_value_is_exact():
             assert r.n_matched == m.sum(), bounds
             assert r.value == pytest.approx(m.sum() if agg == "count" else data[m, 2].sum(),
                                             rel=1e-12), bounds
+
+
+@pytest.mark.parametrize("name", ["zorder", "ubtree"])
+def test_minus_inf_rows_found_when_the_finite_span_passes_the_float_range(name):
+    """Finite values from −1e308 to 1e308 span 2e308, past the largest
+    float: the Z-grid scales them in halves, so −inf rows still quantize
+    to the bottom coordinate and ``[−inf, 0]`` finds them."""
+    values = [-np.inf, -1e308, 0.0, 1.0, 1e308, np.inf]
+    data = np.repeat(values, 10)[:, None]
+    idx = _factories()[name]().build(data)
+    for lo, hi in ((-np.inf, 0.0), (-np.inf, -np.inf), (1.0, np.inf), (-1e308, 1e308)):
+        q = query_from_dict(1, {0: (lo, hi)})
+        assert idx.query(q).n_matched == q.mask(data).sum() > 0, (lo, hi)
+
+
+def _wild_tables():
+    """Tables with one column that is all −inf, of values from {±1e308,
+    ±1.7e308, 0}, of values in [1e308, 1.7e308] or holding the largest
+    float: sums, midpoints and medians over them pass the float range."""
+    rng = np.random.default_rng(17)
+    n = 300
+    rest = rng.random((n, 2)) * 100
+    cols = {"all -inf": np.full(n, -np.inf),
+            "huge, both signs": rng.choice([1e308, -1e308, 1.7e308, -1.7e308, 0.0], n),
+            "huge, one sign": rng.uniform(1e308, 1.7e308, n),
+            "largest float": np.where(rng.random(n) < 0.5, np.finfo(np.float64).max, rest[:, 1])}
+    return {k: np.column_stack([rest[:, 0], c, rest[:, 1]]) for k, c in cols.items()}
+
+
+@pytest.mark.parametrize("table", list(_wild_tables()))
+@pytest.mark.parametrize("name", list(_factories()) + ["flood_sorted"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_and_infinite_columns_build_and_answer_without_warnings(name, table):
+    """Every index builds on a column past the float range and answers
+    COUNT and a SUM over it with no RuntimeWarning, matching brute force;
+    Flood with that column as a grid dim and as its sort dim."""
+    data = _wild_tables()[table]
+    make = {"clustered": lambda: ClusteredIndex(sort_dim=1),
+            "flood": lambda: FloodIndex(layout=Layout(order=[0, 1, 2], cols=[4, 3])),
+            "flood_sorted": lambda: FloodIndex(layout=Layout(order=[1, 0, 2], cols=[4, 3]))}
+    idx = (make.get(name) or _factories()[name])().build(data)
+    for bounds in ({1: (-np.inf, 0.0)}, {0: (10.0, 60.0)}, {0: (10.0, 60.0), 1: (1.2e308, np.inf)},
+                   {}, {1: (-np.inf, -np.inf)}):
+        for agg in ("count", "sum"):
+            q = query_from_dict(3, bounds, agg=agg, agg_dim=1)
+            r = idx.query(q)
+            m = q.mask(data)
+            assert r.n_matched == m.sum(), (bounds, agg)
+            if agg == "count":
+                assert r.value == m.sum(), bounds

@@ -112,8 +112,9 @@ def test_flood_equals_brute_force_on_adversarial_inputs(case):
 def every_index_case(draw):
     """Integer-valued, float or mixed columns (so the scan filters both
     narrow codes and float64), with ties, a constant column, an all-ties
-    Flood sort dim, d = 1, one row and some NaN; bounds from data values,
-    fractional, out of domain, NaN and ±inf, sometimes inverted."""
+    Flood sort dim, d = 1, one row, some NaN and some ±inf and ±1e308
+    (spans past the float range, sums that overflow); bounds from data
+    values, fractional, out of domain, NaN and ±inf, sometimes inverted."""
     n = draw(st.sampled_from([1, 2, draw(st.integers(3, 200))]))
     d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -128,6 +129,8 @@ def every_index_case(draw):
     if draw(st.booleans()):
         data[:, order[-1]] = data[0, order[-1]]  # Flood's sort dim all ties
     data[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.0, 0.1]))] = np.nan
+    wild = rng.random((n, d)) < draw(st.sampled_from([0.0, 0.0, 0.1]))
+    data[wild] = rng.choice([-np.inf, np.inf, -1e308, 1e308], wild.sum())
     bound = st.one_of(st.integers(0, n - 1), st.sampled_from(_BOUND_SPECIAL),
                       st.floats(-1e6, 1e6), st.sampled_from([0.5, -2.5, 3.5, 1e5]))
     queries = []
@@ -148,6 +151,21 @@ def every_index_case(draw):
     return data, indexes, queries
 
 
+def _sum_matches(value: float, x: np.ndarray) -> bool:
+    """A SUM of the values ``x`` equals ``math.fsum`` within rounding, or
+    is NaN with it. Where the magnitudes sum past the float range
+    (``fsum`` overflows) no value is checked: there the order of the
+    additions decides whether a SUM overflows."""
+    try:
+        scale = math.fsum(np.abs(x))
+    except OverflowError:
+        return True
+    if not math.isfinite(scale):  # ±inf among the values, or NaN
+        want = float(np.sum(x)) if not np.isnan(x).any() else math.nan
+        return value == want or np.isnan(want) and np.isnan(value)
+    return abs(value - math.fsum(x)) <= 1e-9 * scale
+
+
 @given(every_index_case())
 @settings(max_examples=150, deadline=None)
 def test_every_index_equals_brute_force_on_adversarial_inputs(case):
@@ -162,10 +180,8 @@ def test_every_index_equals_brute_force_on_adversarial_inputs(case):
             if q.agg == "count":
                 assert r.value == m.sum(), (idx.name, q.ranges)
             else:
-                x = data[m, q.agg_dim]
-                want = math.fsum(x)
-                assert (abs(r.value - want) <= 1e-9 * math.fsum(np.abs(x))
-                        or np.isnan(want) and np.isnan(r.value)), (idx.name, q.ranges)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert _sum_matches(r.value, data[m, q.agg_dim]), (idx.name, q.ranges)
 
 
 @st.composite

@@ -20,7 +20,7 @@ from repro import synth_data
 from repro.indexes.flood import FloodIndex, Grid, Layout
 from repro.oracle import assert_equivalent
 from repro.sparkglue.layout import (CELL_COL, SparkFloodLayout, apply_flood_layout,
-                                    cell_id_function, cell_runs_for_query, learn_boundaries)
+                                    cell_runs_for_query, learn_boundaries, pandas_cell_ids)
 from repro.sparkglue.scan import flood_scan, scan_counts
 
 DIM_COLS = ["l_orderkey", "l_quantity", "l_discount", "l_extendedprice"]
@@ -311,7 +311,7 @@ def test_cell_id_function_runs_where_repro_does_not_import(li_pdf, tmp_path, fla
     data = li_pdf[DIM_COLS].to_numpy(dtype=np.float64, copy=True)
     data[::97, 3] = np.nan
     grid = FloodIndex(layout=lay).build(data).grid
-    fn = cell_id_function(grid.edges, grid.strides)
+    fn = pandas_cell_ids(grid)
     series = [pd.Series(data[:, dim]) for dim in lay.grid_dims]
     env = {"PATH": "/usr/bin:/bin", "HOME": str(tmp_path)}
     proc = subprocess.run([sys.executable, "-c", _WORKER], cwd=tmp_path, env=env,

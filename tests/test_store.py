@@ -333,7 +333,7 @@ def _float_scan(self: ColumnStore, starts: np.ndarray, ends: np.ndarray, exact: 
             vals = _take(agg_col, slices)
             if mask is not None:
                 vals = vals[mask]
-            with (np.errstate(invalid="ignore") if self._both_infs[q.agg_dim]
+            with (np.errstate(over="ignore", invalid="ignore") if self._wild[q.agg_dim]
                   else nullcontext()):
                 total += float(vals.sum())
     return QueryResult(
