@@ -2,8 +2,11 @@
 
 Every index in this reproduction is a *layout* (a permutation of the rows
 into a physical order plus page/cell metadata) over one ``ColumnStore``.
-The store executes the scan step shared by all indexes, the one place where
-ranges merge, and returns the query's :class:`~repro.core.query.QueryResult`
+The store executes the scan step shared by all indexes.
+:meth:`ColumnStore.scan` is the one place where ranges merge and where
+column values are compared with a query's bounds or summed for it;
+:meth:`ColumnStore.scan_gather` only cuts its positions into ranges for
+the scan. The scan returns the query's :class:`~repro.core.query.QueryResult`
 holding the counters Table 2 reports (the index adds its time and cells):
 
 * scanned points (→ scan overhead SO = scanned / matched),
@@ -272,49 +275,18 @@ class ColumnStore:
 
     def scan_gather(self, idx: np.ndarray, exact_mask: np.ndarray,
                     q: Query) -> QueryResult:
-        """Scan an explicit physical-position array (a gather twin of
-        :meth:`scan`). No index calls it; the benchmark tracer in
-        ``perfbench/`` still wraps it by name.
-
-        ``exact_mask`` marks positions known to match without checking
-        (§7.1's exact ranges, per point). Fully vectorized: one gather +
-        one filter pass regardless of how many cells contributed.
+        """Scan the ascending physical positions ``idx`` through :meth:`scan`.
+        ``exact_mask`` marks the positions known to match without checking
+        (§7.1's exact ranges, per point). Each run of consecutive positions
+        that share one exactness is one range; an empty ``idx`` scans
+        nothing. No index calls this: it exists only because the benchmark
+        tracer in ``perfbench/`` wraps it by name.
         """
-        t0 = time.perf_counter()
-        want_sum = q.agg == AGG_SUM
-        n_scanned = int(idx.size)
-        n_exact = int(exact_mask.sum())
-        total = 0.0
-        n_matched = n_exact
-        if want_sum and n_exact:
-            total += float(self.cols[q.agg_dim][idx[exact_mask]].sum())
-        elif not want_sum:
-            total += n_exact
-        rest = idx[~exact_mask] if n_exact else idx
-        if rest.size:
-            mask = None
-            for dim in q.filtered_dims:
-                col = self.cols[dim][rest]
-                lo, hi = q.ranges[dim]
-                cond = (col >= lo) & (col <= hi)
-                mask = cond if mask is None else (mask & cond)
-            if mask is None:
-                k = int(rest.size)
-                if want_sum:
-                    total += float(self.cols[q.agg_dim][rest].sum())
-            else:
-                k = int(mask.sum())
-                if want_sum and k:
-                    total += float(self.cols[q.agg_dim][rest[mask]].sum())
-            n_matched += k
-            if not want_sum:
-                total += k
-        return QueryResult(
-            value=total,
-            n_scanned=n_scanned,
-            n_matched=n_matched,
-            n_exact=n_exact,
-            # the runs of consecutive positions
-            n_ranges=int(np.count_nonzero(np.diff(idx) != 1)) + 1 if idx.size else 0,
-            scan_time=time.perf_counter() - t0,
-        )
+        idx = np.asarray(idx, dtype=np.int64)
+        exact_mask = np.asarray(exact_mask, dtype=bool)
+        # a run ends before a gap or a change of exactness
+        cut = (idx[1:] != idx[:-1] + 1) | (exact_mask[1:] != exact_mask[:-1])
+        starts = np.concatenate((idx[:1], idx[1:][cut]))
+        ends = np.concatenate((idx[:-1][cut], idx[-1:])) + 1
+        exact = np.concatenate((exact_mask[:1], exact_mask[1:][cut]))
+        return self.scan(starts, ends, exact, q)

@@ -25,7 +25,7 @@ class Query:
     ``ranges`` is a (d, 2) float array of inclusive [lo, hi] bounds per
     dimension; (-inf, +inf) marks an unfiltered dimension. ``agg`` is either
     ``"count"`` or ``"sum"``; for SUM, ``agg_dim`` names the aggregated
-    column.
+    column, one of ``0 .. d-1``.
 
     A query works out three facts once, when it is made, which every index,
     the store and the optimizer read: ``bounds``, one ``(lo, hi)`` of Python
@@ -46,6 +46,8 @@ class Query:
             raise ValueError(f"ranges must be (d, 2), got {self.ranges.shape}")
         if self.agg not in (AGG_COUNT, AGG_SUM):
             raise ValueError(f"unknown agg {self.agg!r}")
+        if not 0 <= self.agg_dim < self.d:
+            raise ValueError(f"agg_dim {self.agg_dim} is not a dimension of d={self.d}")
         los, his = self.ranges.T.tolist()  # Python floats beat numpy per element
         object.__setattr__(self, "bounds", tuple(zip(los, his)))
         object.__setattr__(self, "filtered_dims", tuple(

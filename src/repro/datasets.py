@@ -7,7 +7,7 @@ the paper (see DESIGN.md §4 for the substitution table):
 * **sales** — fairly uniform attributes; the workload (repro.workloads)
   concentrates selectivity on one dimension, the regime where a clustered
   single-dim index is nearly optimal.
-* **tpch** — the extended TPC-H-lite lineitem (synth_data.lineitem_pdf):
+* **tpch** — the extended TPC-H-lite lineitem (synth_data.lineitem_columns):
   dates, quantity, discount, keys; near-uniform data but workload spread
   over many dims, the regime where a clustered index collapses.
 * **osm** — Gaussian-mixture lat/lon clusters (city density), recency-
@@ -23,9 +23,8 @@ between datasets). Every generator is deterministic in ``seed``.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
-from repro.synth_data import lineitem_pdf
+from repro.synth_data import lineitem_columns
 
 #: benchmark-scale row counts, ∝ the paper's 30M/300M/105M/230M (×250
 #: smaller; large enough that scan time dominates per-query overheads)
@@ -57,20 +56,9 @@ def sales(n: int = 30_000, seed: int = 0) -> np.ndarray:
 
 
 def tpch(n: int = 300_000, seed: int = 0) -> np.ndarray:
-    sf = n / 6_000_000
-    pdf = lineitem_pdf(sf=sf, seed=seed)
-    epoch = pd.Timestamp("1992-01-01")
-    return np.column_stack(
-        [
-            (pdf["l_shipdate"] - epoch).dt.days.to_numpy(float),
-            (pdf["l_receiptdate"] - epoch).dt.days.to_numpy(float),
-            pdf["l_quantity"].to_numpy(float),
-            pdf["l_discount"].to_numpy(float),
-            pdf["l_orderkey"].to_numpy(float),
-            pdf["l_suppkey"].to_numpy(float),
-            pdf["l_extendedprice"].to_numpy(float),
-        ]
-    )[:n]
+    cols = lineitem_columns(sf=n / 6_000_000, seed=seed)
+    # the integer columns (days, keys) promote to float64
+    return np.column_stack([cols["l_" + k] for k in DIMS["tpch"]])[:n]
 
 
 def osm(n: int = 105_000, seed: int = 0) -> np.ndarray:

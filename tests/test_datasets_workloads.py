@@ -1,8 +1,10 @@
 """Datasets: shapes, determinism, skew properties. Workloads: selectivity."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import datasets
+from repro.synth_data import EPOCH, lineitem_pdf
 from repro.workloads import (QUERY_TYPES, RANDOM_MAX_DIMS, RANDOM_TYPES, make_workload,
                              random_workload, workload_selectivity)
 
@@ -47,6 +49,25 @@ def test_perfmon_swap_mostly_zero():
 def test_tpch_receipt_after_ship():
     data, dims = datasets.load("tpch", n=5000)
     assert (data[:, dims.index("receiptdate")] > data[:, dims.index("shipdate")]).all()
+
+
+@pytest.mark.parametrize("n", [7, 14, 28, 49, 4_009, 100_005])
+def test_tpch_returns_n_rows(n):
+    """``6e6 · (n / 6e6)`` falls just below n for these n: the row count
+    rounds it, where truncating it lost the last row."""
+    data, dims = datasets.load("tpch", n=n)
+    assert data.shape == (n, len(dims)) and data.dtype == np.float64
+
+
+def test_tpch_is_lineitem_pdf():
+    """The tpch matrix holds lineitem_pdf's columns, dates as days since the epoch."""
+    data, dims = datasets.load("tpch", n=3000, seed=5)
+    pdf = lineitem_pdf(sf=3000 / 6e6, seed=5)
+    for j, dim in enumerate(dims):
+        col = pdf["l_" + dim]
+        if dim.endswith("date"):
+            col = (col - pd.Timestamp(EPOCH)).dt.days
+        assert np.array_equal(data[:, j], col.to_numpy(float)), dim
 
 
 def test_sales_fairly_uniform():

@@ -47,3 +47,12 @@ def test_bad_agg_rejected():
 def test_sum_agg_fields():
     q = query_from_dict(3, {0: (0, 1)}, agg=AGG_SUM, agg_dim=2)
     assert q.agg == AGG_SUM and q.agg_dim == 2
+
+
+@pytest.mark.parametrize("agg_dim", [-1, 3, 7])
+def test_agg_dim_outside_dims_rejected(agg_dim):
+    """-1 would silently sum the last column and 7 fail inside the scan."""
+    with pytest.raises(ValueError, match="agg_dim"):
+        query_from_dict(3, {}, agg=AGG_SUM, agg_dim=agg_dim)
+    with pytest.raises(ValueError, match="agg_dim"):
+        Query(np.zeros((3, 2)), agg_dim=agg_dim)

@@ -164,6 +164,40 @@ def test_rejects_non_2d():
         ColumnStore(np.zeros(5))
 
 
+def test_scan_gather_reads_runs_through_scan():
+    """Positions of mixed exact and inexact runs, touching runs and a lone
+    position: COUNT and SUM equal the brute-force mask, and the counters
+    equal ``scan`` over the same runs; an empty position array scans
+    nothing."""
+    rng = np.random.default_rng(29)
+    data = rng.random((1000, 3)) * 10
+    data[:, 0] = np.linspace(0.0, 10.0, 1000)  # rows 200..699 hold [2, 7]
+    st = ColumnStore(data)
+    runs = [(150, 230, False), (230, 260, True), (260, 300, False), (300, 320, False),
+            (320, 330, True), (330, 340, True), (500, 501, False), (600, 601, True),
+            (690, 720, False), (900, 950, False)]
+    idx = np.concatenate([np.arange(s, e) for s, e, _ in runs])
+    exact_mask = np.concatenate([np.full(e - s, x) for s, e, x in runs])
+    starts, ends, exact = (np.array(c) for c in zip(*runs))
+    for q in (query_from_dict(3, {0: (2.0, 7.0)}),
+              query_from_dict(3, {0: (2.0, 7.0)}, agg=AGG_SUM, agg_dim=1),
+              query_from_dict(3, {}, agg=AGG_SUM, agg_dim=2)):
+        m = q.mask(data)
+        assert m[idx[exact_mask]].all()  # the exact runs really match
+        got = st.scan_gather(idx, exact_mask, q)
+        hit = idx[m[idx]]
+        if q.agg == AGG_SUM:
+            assert np.isclose(got.value, data[hit, q.agg_dim].sum())
+        else:
+            assert got.value == hit.size
+        want = st.scan(starts, ends, exact, q)
+        assert (got.n_scanned, got.n_matched, got.n_exact) == \
+            (want.n_scanned, want.n_matched, want.n_exact)
+        none = st.scan_gather(np.array([], dtype=np.int64), np.array([], dtype=bool), q)
+        assert (none.value, none.n_scanned, none.n_matched, none.n_exact, none.n_ranges) == \
+            (0, 0, 0, 0, 0)
+
+
 # -- the gather scan that range slices replaced, kept as the reference ------
 def _positions(starts: np.ndarray, ends: np.ndarray):
     """The rows of the nonempty ranges ``[starts[k], ends[k])`` in order:
