@@ -6,14 +6,19 @@ tune when porting Flood — and the column-store scan over R ranges of L
 rows each, which reads one slice per range and column: many short ranges
 cost more per row than a few long ones. The scan runs on uniform floats,
 filtered as float64, and on integers 0..2556 (like tpch's ship date),
-filtered on their uint16 filter copy.
+filtered on their uint16 filter copy. Two pairs show what Flood's query
+reads: refinement's binary search of a 1.2M-row per-row key against its
+run table of 3,000 entries, and a float64 range filter against the same
+filter on a uint8 dictionary copy of a column of 11 distinct values (like
+tpch's discount).
 """
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from repro.columnstore.store import ColumnStore
+from repro.columnstore.store import ColumnStore, dictionary, rank_range
 from repro.core.plm import PLM
 from repro.core.query import query_from_dict
 from repro.harness.bench import calibration_dataset, default_cost_model
@@ -130,3 +135,60 @@ def test_bench_forest_predict(benchmark):
 def test_bench_calibration_dataset(benchmark):
     data = benchmark(lambda: calibration_dataset(n=20_000))
     assert data.shape == (20_000, 4)
+
+
+@pytest.fixture(scope="module")
+def refine_key():
+    """A sorted per-row key over 60 cells × 50 sort values and 1.2M rows,
+    as tpch's, its run table, and 1,000 sets of 12 visited cells with
+    their sort-rank cuts."""
+    rng = np.random.default_rng(5)
+    width = 50
+    key = np.sort(rng.integers(0, 60 * width, 1_200_000))
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    run_starts, run_keys = np.append(first, key.size), key[first]
+    cuts = [(np.sort(rng.choice(60, 12, replace=False)) * width)[:, None]
+            + np.sort(rng.integers(0, width + 1, 2)) for _ in range(1000)]
+    return key, run_keys, run_starts, cuts
+
+
+@pytest.mark.benchmark(group="refine")
+@pytest.mark.parametrize("table", ["per-row key", "run table"])
+def test_bench_refine(benchmark, refine_key, table):
+    """One refinement's binary search, cycling through 1,000 cell sets so
+    that successive calls probe different parts of the key."""
+    key, run_keys, run_starts, cuts = refine_key
+    cells = itertools.cycle(cuts)
+
+    def per_row():
+        return key.searchsorted(next(cells))
+
+    def runs():
+        return run_starts[run_keys.searchsorted(next(cells))]
+
+    benchmark.name = f"refine {table}, 1.2M rows"
+    benchmark(per_row if table == "per-row key" else runs)
+    for c in cuts[:50]:
+        np.testing.assert_array_equal(run_starts[run_keys.searchsorted(c)], key.searchsorted(c))
+
+
+@pytest.mark.benchmark(group="filter")
+@pytest.mark.parametrize("copy", ["float64", "uint8 dictionary"])
+def test_bench_dictionary_filter(benchmark, copy):
+    """The range filter [0.03, 0.07] over 80k rows of 11 distinct values,
+    as two float64 compares or one compare of uint8 rank codes."""
+    col = np.random.default_rng(7).integers(0, 11, 80_000) / 100
+    lo, hi = 0.03, 0.07
+    codes, values = dictionary(col)
+    a, b = rank_range(values, lo, hi)
+    t = codes.dtype.type
+
+    def floats():
+        return (col >= lo) & (col <= hi)
+
+    def ranks():
+        return codes - t(a) <= t(b - a)
+
+    benchmark.name = f"filter {copy}, 80k rows"
+    got = benchmark(floats if copy == "float64" else ranks)
+    np.testing.assert_array_equal(got, (col >= lo) & (col <= hi))

@@ -21,18 +21,32 @@ and implements the paper's two scan optimizations:
   prefix sums' rounding (a few small values far down a long column) is
   summed directly.
 
-The paper's store compresses its integer columns. Ours keeps every column
-as float64, which SUM, the prefix sums and :meth:`ColumnStore.matrix` read,
-and beside each integer-valued column whose span fits 32 bits a narrow
-*filter copy* (:func:`narrow`): ``v − min`` in the smallest unsigned type
-that holds it. The scan filters such a column on its copy, with the query's
-bounds turned into exact integer codes (:func:`code_range`), so it reads 1,
-2 or 4 bytes a row in place of 8 and matches exactly the rows the float
-compare would. Narrowing changes no result and no count, so SO — the
-implementation-agnostic metric — is unaffected.
+The paper's store compresses its columns. Ours keeps every column as
+float64, which the prefix sums and :meth:`ColumnStore.matrix` read, and
+beside a column a narrow *filter copy* (:func:`filter_copy`) when one is
+smaller:
+
+* an integer-valued column whose span fits 32 bits gets ``v − min``
+  (:func:`narrow`) in the smallest unsigned type that holds it, with a
+  query's bounds turned into exact integer codes (:func:`code_range`);
+* any other column gets rank codes over its sorted distinct values
+  (:func:`dictionary`), with bounds turned into ranks (:func:`rank_range`),
+  but only when codes and dictionary take fewer bytes than the column, so
+  a column of few distinct values (tpch's discount: 11) has one and a
+  column of mostly distinct values (a price, an amount) has none.
+
+The scan filters such a column on its copy with one integer compare, so it
+reads 1, 2 or 4 bytes a row in place of 8 and matches exactly the rows the
+float compare would. A SUM over a column whose every sum is an exact
+integer in float64 (:func:`exact_sums`: narrow codes and ``max|v| · n``
+at most 2**53) adds its codes as int64 and ``min`` once per row, the same
+value to the bit; such a column's prefix sums need no error pass. None of
+this changes a result or a count, so SO — the implementation-agnostic
+metric — is unaffected.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from contextlib import nullcontext
@@ -68,15 +82,20 @@ def _quiet(wild: bool):
     return np.errstate(over="ignore", invalid="ignore") if wild else nullcontext()
 
 
-def prefix_sums(c: np.ndarray) -> np.ndarray:
+def prefix_sums(c: np.ndarray, exact: bool = False) -> np.ndarray:
     """``p[i] = sum(c[:i])``, each within about half an ulp of the exact sum.
 
     numpy's running sum is sequential, so TwoSum recovers each step's
     rounding error exactly; adding the running sum of those errors back
     removes the drift that would otherwise grow with the column length.
+    An ``exact`` column (:func:`exact_sums`) has every running sum exact
+    already, so its prefix sums are the plain running sum.
     """
     p = np.empty(c.size + 1)
     p[0] = 0.0
+    if exact:
+        np.cumsum(c, out=p[1:])
+        return p
     err = np.empty(c.size)
     with _quiet(wild_sums(c)):
         np.cumsum(c, out=p[1:])
@@ -114,7 +133,7 @@ def narrow(c: np.ndarray) -> tuple[np.ndarray, int, int] | None:
     return (ints - base).astype(code), base, int(mx) - base
 
 
-def code_range(lo: float, hi: float, base: int, top: int) -> tuple[int, int] | None:
+def code_range(base: int, top: int, lo: float, hi: float) -> tuple[int, int] | None:
     """The codes ``[a, b]`` of the integers ``v`` in ``[base, base + top]``
     with ``lo <= v <= hi``, clamped to ``[0, top]``: ``a = ceil(lo) − base``
     and ``b = floor(hi) − base`` as exact Python ints. ``None`` when no
@@ -125,6 +144,63 @@ def code_range(lo: float, hi: float, base: int, top: int) -> tuple[int, int] | N
     a = math.ceil(lo) - base if lo > base else 0
     b = math.floor(hi) - base if hi < base + top else top
     return (a, b) if a <= b else None
+
+
+def rank_range(values: np.ndarray, lo: float, hi: float) -> tuple[int, int] | None:
+    """The codes ``[a, b]`` of the ``values`` (ascending, distinct, NaN
+    last) with ``lo <= v <= hi``: ``a`` counts the values below ``lo`` and
+    ``b`` is one less than the count of those up to ``hi``. ``None`` when
+    none qualifies: a NaN, inverted or out-of-domain range, or one between
+    two values. A code at 0 or at ``values.size − 1`` needs no compare."""
+    if not lo <= hi:
+        return None
+    a = int(values.searchsorted(lo, "left"))
+    b = int(values.searchsorted(hi, "right")) - 1
+    return (a, b) if a <= b else None
+
+
+def dictionary(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The dictionary filter copy of column ``c``: its sorted distinct
+    values ``u`` (``np.unique``: NaN collapses into one value, placed
+    last, and ``-0.0`` and ``0.0`` into one) and each row's rank
+    ``u.searchsorted(v)`` in the narrowest unsigned type that holds
+    ``u.size − 1``.
+
+    ``None`` unless the codes and the dictionary together take fewer bytes
+    than the column itself: a column of many distinct values keeps no copy."""
+    u = np.unique(c)
+    code = next((t for t in _CODE_TYPES if u.size - 1 <= np.iinfo(t).max), None)
+    if code is None or c.size * np.dtype(code).itemsize + u.nbytes >= c.nbytes:
+        return None
+    return u.searchsorted(c).astype(code), u
+
+
+def filter_copy(c: np.ndarray, nc: tuple[np.ndarray, int, int] | None):
+    """The filter copy the scan compares in place of float64 column ``c``,
+    whose narrow codes are ``nc`` (:func:`narrow`): ``(codes, top,
+    to_codes)`` with the codes (``nc``'s, else :func:`dictionary`'s), the
+    top code, and ``to_codes(lo, hi)``, which maps a query's bounds to the
+    codes ``[a, b]`` of exactly the values they hold, or ``None`` when
+    none. ``None`` when the column has no copy."""
+    if nc is not None:
+        codes, base, top = nc
+        return codes, top, functools.partial(code_range, base, top)
+    dc = dictionary(c)
+    if dc is None:
+        return None
+    codes, values = dc
+    return codes, values.size - 1, functools.partial(rank_range, values)
+
+
+def exact_sums(c: np.ndarray, nc: tuple[np.ndarray, int, int] | None) -> bool:
+    """Whether every sum over values of ``c`` is an exact integer in
+    float64: ``c`` has narrow codes ``nc`` and ``max(|min|, |max|) · n``
+    is at most 2**53, so every partial sum, in any order, is an integer
+    float64 holds exactly."""
+    if nc is None:
+        return False
+    _, base, top = nc
+    return max(abs(base), abs(base + top)) * c.size <= 2 ** 53
 
 
 def _take(col: np.ndarray, slices: list[slice]) -> np.ndarray:
@@ -145,14 +221,20 @@ class ColumnStore:
         self.n, self.d = data.shape
         # column-major storage: one contiguous array per attribute
         self.cols = [np.ascontiguousarray(data[:, j]) for j in range(self.d)]
+        narrowed = [narrow(c) for c in self.cols]
+        # per column: the base of its narrow codes when every sum over it is
+        # exact (exact_sums), so a SUM adds its codes as int64, else None
+        self._sum_base = [nc[1] if exact_sums(c, nc) else None
+                          for c, nc in zip(self.cols, narrowed)]
         # prefix sums for O(1) SUM over exact ranges; cumcount is implicit
-        self._cums = [prefix_sums(c) for c in self.cols]
+        self._cums = [prefix_sums(c, base is not None)
+                      for c, base in zip(self.cols, self._sum_base)]
         # a SUM that overflows is ±inf and one over both infinities NaN, as
         # they should be, but numpy also warns: see wild_sums
         self._wild = [wild_sums(c) for c in self.cols]
-        # per column: its filter copy (codes, base, top), or None to filter
-        # the float64 column itself
-        self._codes = [narrow(c) for c in self.cols]
+        # per column: its filter copy (codes, top, to_codes), or None to
+        # filter the float64 column itself
+        self._codes = [filter_copy(c, nc) for c, nc in zip(self.cols, narrowed)]
 
     def matrix(self) -> np.ndarray:
         """Dense (n, d) view of the stored order (tests / rebuilds)."""
@@ -176,16 +258,17 @@ class ColumnStore:
         ends extends its slice, so ``n_ranges``, the exact ranges plus the
         slices read, counts touching inexact ranges once. Exact ranges never
         merge: each is one prefix-sum difference already. A column with a
-        filter copy is filtered on its narrow codes (:func:`code_range`):
-        one compare, or none when the bounds hold all its values, and a
-        range that holds none of them matches no row. The matched rows, in
-        the same order, are those the float64 compare finds, so COUNT and
-        SUM are the same to the bit. The slices cost about half a
-        microsecond each per column, so many short slices (a few rows each,
-        as from a fine grid) scan slower than long ones of the same total
-        size: the cost model prices that through its ``avg_run_len``
-        feature. The timer covers only this function: indexes time their
-        own projection/refinement and report it separately (Table 2's IT).
+        filter copy is filtered on its codes (:func:`filter_copy`): one
+        compare, or none when the bounds hold all its values, and a range
+        that holds none of them matches no row. The matched rows, in the
+        same order, are those the float64 compare finds, and a SUM over an
+        :func:`exact_sums` column adds its codes, so COUNT and SUM are the
+        same to the bit. The slices cost about half a microsecond each per
+        column, so many short slices (a few rows each, as from a fine grid)
+        scan slower than long ones of the same total size: the cost model
+        prices that through its ``avg_run_len`` feature. The timer covers
+        only this function: indexes time their own projection/refinement
+        and report it separately (Table 2's IT).
         """
         t0 = time.perf_counter()
         starts = np.asarray(starts, dtype=np.int64)
@@ -230,13 +313,13 @@ class ColumnStore:
                 if dim == met_dim:
                     continue  # met by the ranges
                 lo, hi = q.bounds[dim]
-                narrow_col = self._codes[dim]
-                if narrow_col is None:
+                copy = self._codes[dim]
+                if copy is None:
                     col = _take(self.cols[dim], slices)
                     cond = (col >= lo) & (col <= hi)
                 else:
-                    codes, base, top = narrow_col
-                    ab = code_range(lo, hi, base, top)
+                    codes, top, to_codes = copy
+                    ab = to_codes(lo, hi)
                     if ab is None:
                         mask = np.zeros(m, dtype=bool)
                         break
@@ -259,11 +342,18 @@ class ColumnStore:
             if not want_sum:
                 total += k
             elif k:
-                vals = _take(agg_col, slices)
+                # k values of an exact_sums column sum to an exact integer
+                # when k <= n (overlapping ranges can sum a row twice): add
+                # their codes, 1-4 bytes a row in place of 8
+                base = self._sum_base[q.agg_dim] if k <= self.n else None
+                vals = _take(agg_col if base is None else self._codes[q.agg_dim][0], slices)
                 if mask is not None:
                     vals = vals[mask]
-                with _quiet(self._wild[q.agg_dim]):
-                    total += float(vals.sum())
+                if base is not None:
+                    total += float(int(np.add.reduce(vals, dtype=np.int64)) + base * k)
+                else:
+                    with _quiet(self._wild[q.agg_dim]):
+                        total += float(vals.sum())
         return QueryResult(
             value=total,
             n_scanned=n_scanned,

@@ -114,8 +114,12 @@ GENERATORS = {"sales": sales, "tpch": tpch, "osm": osm, "perfmon": perfmon}
 
 
 def load(name: str, n: int | None = None, seed: int = 0) -> tuple[np.ndarray, list[str]]:
-    """Dataset matrix + dim names at the requested (or benchmark) size."""
+    """Dataset matrix + dim names at the requested size, or at the
+    benchmark size when ``n`` is None; ``n = 0`` gives no rows."""
     if name not in GENERATORS:
         raise KeyError(f"unknown dataset {name!r}; have {sorted(GENERATORS)}")
-    n = n or BENCH_ROWS[name]
+    if n is None:
+        n = BENCH_ROWS[name]
+    elif n < 0:
+        raise ValueError(f"row count must be >= 0, got {n}")
     return GENERATORS[name](n=n, seed=seed), DIMS[name]

@@ -27,6 +27,16 @@ def test_deterministic(name):
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_zero_rows_is_empty_and_negative_rejected(name):
+    """A size of 0 gives no rows, not the benchmark table; only no size
+    at all gives the benchmark size, and a negative size is an error."""
+    data, dims = datasets.load(name, 0)
+    assert data.shape == (0, len(dims))
+    with pytest.raises(ValueError):
+        datasets.load(name, -1)
+
+
 def test_unknown_dataset():
     with pytest.raises(KeyError):
         datasets.load("nope")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.query import AGG_SUM, Query, query_from_dict
-from repro.indexes.flood import FloodIndex, Layout, default_layout
+from repro.indexes.flood import FloodIndex, Layout, _stable_order, default_layout
 
 
 def make_data(kind, n=4000, d=4, seed=0):
@@ -279,3 +279,64 @@ def test_exact_range_sum_matches_fsum():
     whole = idx.query(query_from_dict(3, {}, agg=AGG_SUM, agg_dim=1))
     assert whole.n_exact == n
     assert abs(whole.value - math.fsum(data[:, 1])) <= 1e-9 * math.fsum(data[:, 1])
+
+
+def _run_table_cases():
+    """Tables with ties in the sort dim, NaN sort values, cells left empty
+    by a skewed grid dim, d = 1 and one row."""
+    rng = np.random.default_rng(41)
+    ties = rng.integers(0, 5, (3000, 3)).astype(float)
+    nan_sort = rng.random((2000, 3)) * 100
+    nan_sort[::7, 2] = np.nan
+    skewed = np.column_stack([np.where(rng.random(2000) < 0.9, 1.0, 50.0),
+                              rng.random(2000), rng.integers(0, 30, 2000).astype(float)])
+    return {
+        "ties": (ties, Layout(order=[0, 1, 2], cols=[4, 3])),
+        "nan sort values": (nan_sort, Layout(order=[0, 1, 2], cols=[5, 2])),
+        "empty cells": (skewed, Layout(order=[0, 1, 2], cols=[8, 3], flatten=False)),
+        "d = 1": (rng.integers(0, 40, (500, 1)).astype(float), Layout(order=[0], cols=[])),
+        "one row": (np.array([[3.0, np.nan]]), Layout(order=[0, 1], cols=[3])),
+    }
+
+
+@pytest.mark.parametrize("case", list(_run_table_cases()))
+def test_run_table_refines_as_the_per_row_key(case):
+    """The run table expands to the sorted per-row key ``cell id · U +
+    rank`` of the stored rows, and refinement over it returns the ranges
+    two binary searches of that per-row key give, for every cell set."""
+    data, layout = _run_table_cases()[case]
+    idx = FloodIndex(layout=layout).build(data)
+    stored = idx.store.matrix()
+    keys = idx.sort_keys
+    key = idx._cell_ids(stored) * keys.size + keys.searchsorted(stored[:, layout.sort_dim])
+    assert (np.diff(key) >= 0).all()
+    np.testing.assert_array_equal(np.repeat(idx.run_keys, np.diff(idx.run_starts)), key)
+    np.testing.assert_array_equal(idx.cell_starts, key.searchsorted(
+        np.arange(layout.n_cells + 1) * keys.size))
+    rng = np.random.default_rng(43)
+    values = np.concatenate([keys, [-np.inf, np.inf, -1e9, 1e9]])
+    for _ in range(200):
+        lo, hi = np.sort(rng.choice(values, 2))
+        if rng.random() < 0.2:
+            lo, hi = -np.inf, np.inf
+        cells = np.unique(rng.integers(0, layout.n_cells, int(rng.integers(0, 6))))
+        interior = rng.random(cells.size) < 0.5
+        starts, ends, exact = idx._refine(float(lo), float(hi), cells, interior)
+        both_open = lo == -np.inf and hi == np.inf  # NaN rows included
+        r_lo = 0 if both_open else keys.searchsorted(lo, "left")
+        r_hi = keys.size if both_open else keys.searchsorted(hi, "right")
+        base = cells * keys.size
+        np.testing.assert_array_equal(starts, key.searchsorted(base + r_lo))
+        np.testing.assert_array_equal(ends, key.searchsorted(base + r_hi))
+        assert exact is interior
+
+
+@pytest.mark.parametrize("top", [0, 255, 256, 65535, 65536, 10**9])
+def test_stable_order_of_a_narrow_key_is_the_int64_one(top):
+    """The build's stable sort gives the permutation of the int64 key's
+    stable argsort whatever the key's maximum, on keys full of ties."""
+    rng = np.random.default_rng(top % 1000)
+    key = rng.integers(0, min(top, 50) + 1, 5000) * (top // max(1, min(top, 50)))
+    key[rng.integers(0, key.size)] = top
+    np.testing.assert_array_equal(_stable_order(key), np.argsort(key, kind="stable"))
+    assert _stable_order(np.empty(0, dtype=np.int64)).size == 0

@@ -390,6 +390,14 @@ def test_equal_width_edges_on_non_finite_and_huge_columns():
     assert (column_edges([-1e308, 1e308], 4, False) == np.inf).all()
 
 
+def _run_table_bytes(idx: FloodIndex, data: np.ndarray) -> int:
+    """The run table's bytes: an int64 key and an int64 first row per
+    distinct (cell, sort value) key of the rows, plus the end row ``n``."""
+    rank = idx.sort_keys.searchsorted(data[:, idx.layout.sort_dim])
+    runs = np.unique(idx._cell_ids(data) * idx.sort_keys.size + rank).size
+    return 8 * (2 * runs + 1)
+
+
 def test_flood_cells_on_sampled_path_match_rank_columns():
     """Above EDGE_SAMPLE rows, flattened edges come from a seeded sample;
     each row's cell is the rank formula over that same sample."""
@@ -405,7 +413,7 @@ def test_flood_cells_on_sampled_path_match_rank_columns():
     want = _rank_columns(s0, data[:, 0], 13) * 6 + _rank_columns(s1, data[:, 1], 6)
     np.testing.assert_array_equal(idx._cell_ids(data), want)
     assert idx.index_size_bytes() == (idx.cell_starts.nbytes + 8 * sum(c - 1 for c in cols)
-                                      + idx.key.nbytes + idx.sort_keys.nbytes)
+                                      + _run_table_bytes(idx, data) + idx.sort_keys.nbytes)
 
 
 @given(dataset_and_query(), st.booleans())
@@ -416,7 +424,7 @@ def test_flood_index_size_is_cell_table_plus_edges(dq, flatten):
     cols = [3] * (d - 1)
     idx = FloodIndex(layout=Layout(order=list(range(d)), cols=cols, flatten=flatten)).build(data)
     assert idx.index_size_bytes() == (idx.cell_starts.nbytes + 8 * sum(c - 1 for c in cols)
-                                      + idx.key.nbytes + idx.sort_keys.nbytes)
+                                      + _run_table_bytes(idx, data) + idx.sort_keys.nbytes)
 
 
 @given(dataset_and_query())

@@ -7,7 +7,8 @@ import pytest
 
 from contextlib import nullcontext
 
-from repro.columnstore.store import SUM_RTOL, ColumnStore, _take, narrow, prefix_sums
+from repro.columnstore.store import (SUM_RTOL, ColumnStore, _take, dictionary, exact_sums, narrow,
+                                     prefix_sums)
 from repro.core.query import AGG_SUM, Query, QueryResult, query_from_dict
 
 
@@ -416,6 +417,12 @@ def _columns(n: int) -> list[tuple[np.ndarray, object]]:
         (ints * 2 + 2.0 ** 54, None),  # beyond 2**53
         (_with_ends(ints * 1e8, 0, 2 ** 32), None),  # span 2**32
         (spoil(-0.0, 0.001), None),
+        # fractional: a dictionary copy, or none when it would be larger
+        (rng.integers(0, 11, n) / 100, None),  # like tpch's discount
+        (rng.choice([-0.0, 0.0, 0.25, -1.5, np.inf, -np.inf, np.nan], n), None),
+        (np.full(n, 0.5), None),  # one distinct value
+        (np.full(n, np.nan), None),
+        (rng.random(n), None),  # all distinct: no copy
     ]
 
 
@@ -427,7 +434,7 @@ def _bounds(rng, col: np.ndarray, code) -> tuple[float, float]:
     edge = [mn - 1, mn, mx, mx + 1, mn - 0.5, mx + 0.5]
     if code is not None:
         edge += [mn + np.iinfo(code).max, mn + np.iinfo(code).max + 1, mn - 2 ** 32]
-    special = [np.inf, -np.inf, np.nan, 1e300, -1e300]
+    special = [np.inf, -np.inf, np.nan, 1e300, -1e300, 0.0, -0.0]
 
     def one():
         kind = rng.integers(4)
@@ -463,10 +470,12 @@ def test_narrow_keeps_only_exact_integer_columns():
 
 
 def test_narrow_scan_equals_float_scan_bit_for_bit():
-    """Filtering on the narrow codes returns the float64 scan's value and
-    every count exactly, on columns of every code width and columns that
-    stay float64, over 1000 range sets with fractional, ±inf, (inf, inf),
-    NaN, inverted, ±1e300 and just-out-of-range bounds."""
+    """Filtering on the narrow and dictionary codes, and summing the codes
+    of exact columns, returns the float64 scan's value and every count
+    exactly, on columns of every code width, dictionary columns (±0.0, NaN,
+    ±inf, one distinct value, all NaN) and columns that stay float64, over
+    1000 range sets with fractional, ±inf, (inf, inf), NaN, inverted, ±0.0,
+    ±1e300 and just-out-of-range bounds."""
     n = 3000
     cols = _columns(n)
     data = np.column_stack([c for c, _ in cols])
@@ -488,6 +497,85 @@ def test_narrow_scan_equals_float_scan_bit_for_bit():
             (want.n_scanned, want.n_matched, want.n_exact, want.n_ranges), (i, bounds)
         assert got.value == want.value or (math.isnan(got.value) and math.isnan(want.value)), \
             (i, bounds)
+
+
+def test_dictionary_codes_rank_the_distinct_values():
+    """A column without narrow codes gets, when it pays, each row's rank
+    among its sorted distinct values (NaN one value, ranked last; ±0.0 one
+    value) in the narrowest type; the codes map back to the column."""
+    for j, (col, code) in enumerate(_columns(500)):
+        if code is not None:
+            continue
+        got = dictionary(col)
+        u = np.unique(col)
+        if got is None:
+            assert 500 + u.nbytes >= col.nbytes, j  # uint8 codes would not pay
+            continue
+        codes, values = got
+        assert codes.dtype == np.uint8 and np.array_equal(values, u, equal_nan=True), j
+        assert np.isnan(values[:-1]).sum() == 0, j
+        np.testing.assert_array_equal(values[codes], col, err_msg=str(j))
+    assert dictionary(np.array([-0.0, 0.0, 1.5, -0.0]))[0].tolist() == [0, 0, 1, 0]
+
+
+@pytest.mark.parametrize("n, n_distinct, kept", [(8, 6, True), (8, 7, False),
+                                                 (401, 300, True), (400, 300, False)])
+def test_dictionary_only_when_smaller_than_the_column(n, n_distinct, kept):
+    """The copy is kept only when codes plus dictionary take fewer bytes
+    than the float64 column: 8 rows of uint8 codes pay for at most 6
+    distinct values (8 + 48 < 64, 8 + 56 = 64), and 300 distinct values
+    need uint16 codes, which pay from 401 rows (802 + 2400 < 3208)."""
+    col = np.arange(n) % n_distinct + 0.5
+    got = dictionary(col)
+    assert (got is not None) == kept
+    if kept:
+        assert got[0].nbytes + got[1].nbytes < col.nbytes
+    assert (ColumnStore(col[:, None])._codes[0] is not None) == kept
+
+
+def _sum_column(n: int, top: int, sign: int, rng) -> np.ndarray:
+    """``n`` integers within 200 of ``sign · top``, with one at ``sign · top``."""
+    col = sign * (top - rng.integers(0, 201, n)).astype(np.float64)
+    col[n // 2] = sign * top
+    return col
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("top, exact", [(2 ** 43, True), (2 ** 43 + 1, False)])
+def test_code_sums_equal_float_sums_to_the_bit(top, exact, sign):
+    """At ``max|v| · n = 2**53`` (1024 rows, ``max|v| = 2**43``) a SUM adds
+    the column's codes; one above it, the float path is taken. Both give
+    the float64 scan's value to the bit, over inexact and exact ranges."""
+    n = 1024
+    rng = np.random.default_rng(37)
+    data = np.column_stack([_sum_column(n, top, sign, rng), rng.integers(0, 9, n)])
+    assert exact_sums(data[:, 0], narrow(data[:, 0])) == exact
+    st = ColumnStore(data)
+    assert (st._sum_base[0] is not None) == exact
+    for i in range(300):
+        starts, ends, exact_ranges = _range_set(rng, n)
+        bounds = {1: (float(rng.integers(0, 5)), float(rng.integers(4, 9)))} if i % 3 else {}
+        q = query_from_dict(2, bounds, agg=AGG_SUM, agg_dim=0)
+        got = st.scan(starts, ends, exact_ranges, q)
+        want = _float_scan(st, starts, ends, exact_ranges, q)
+        assert got.value == want.value and got.n_matched == want.n_matched, i
+    whole = st.scan([0], [n], [False], query_from_dict(2, {}, agg=AGG_SUM, agg_dim=0))
+    if exact:
+        assert whole.value == float(sum(int(v) for v in data[:, 0]))
+
+
+def test_exact_prefix_sums_equal_the_error_corrected_ones():
+    """For a column of exact sums (up to ``max|v| · n = 2**53``) the plain
+    running sum equals the error-corrected prefix sums bit for bit, across
+    the error pass's blocks."""
+    n = 1 << 17
+    rng = np.random.default_rng(39)
+    for col in (rng.integers(0, 60, n).astype(np.float64), _sum_column(n, 2 ** 36, 1, rng),
+                _sum_column(n, 2 ** 36, -1, rng), rng.integers(-500, 500, n).astype(np.float64)):
+        assert exact_sums(col, narrow(col))
+        np.testing.assert_array_equal(prefix_sums(col, exact=True), prefix_sums(col))
+    above = _sum_column(n, 2 ** 36 + 1, 1, rng)
+    assert not exact_sums(above, narrow(above))
 
 
 @pytest.mark.parametrize("met", [0, 8, 11])
