@@ -6,7 +6,9 @@ tune when porting Flood — and the column-store scan over R ranges of L
 rows each, which reads one slice per range and column: many short ranges
 cost more per row than a few long ones. The scan runs on uniform floats,
 filtered as float64, and on integers 0..2556 (like tpch's ship date),
-filtered on their uint16 filter copy. Two pairs show what Flood's query
+filtered on their uint16 filter copy; two more scan cases time a scan
+over no ranges (its fixed cost) and a SUM over 80k rows at 3%, 20% and
+50% selected. Two pairs show what Flood's query
 reads: refinement's binary search of a 1.2M-row per-row key against its
 run table of 3,000 entries, and a float64 range filter against the same
 filter on a uint8 dictionary copy of a column of 11 distinct values (like
@@ -110,6 +112,38 @@ def test_bench_scan_touching(benchmark, scan_store, length):
     assert out.n_matched == np.count_nonzero((rows >= lo) & (rows <= hi))
     assert out.n_ranges == 1
     assert out.n_scanned == n_ranges * length
+
+
+@pytest.mark.benchmark(group="scan")
+def test_bench_scan_no_ranges(benchmark):
+    """A filtered SUM over no ranges: the scan's fixed cost per query."""
+    store = ColumnStore(np.random.default_rng(9).random((1000, 2)))
+    none, no_flags = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    q = query_from_dict(2, {0: (0.25, 0.75)}, agg="sum", agg_dim=1)
+    benchmark.name = "scan no ranges"
+    out = benchmark(lambda: store.scan(none, none, no_flags, q))
+    assert (out.value, out.n_scanned, out.n_ranges) == (0.0, 0, 0)
+
+
+@pytest.mark.benchmark(group="scan")
+@pytest.mark.parametrize("values", ["float", "int"])
+@pytest.mark.parametrize("frac", [0.03, 0.2, 0.5])
+def test_bench_scan_sum(benchmark, values, frac):
+    """A SUM over one inexact range of 80k rows whose filter selects
+    ``frac`` of them: the SUM column is uniform floats, or integers
+    0..2556 whose codes it adds."""
+    rng = np.random.default_rng(11)
+    n = 80_000
+    sums = rng.random(n) if values == "float" else rng.integers(0, 2557, n).astype(float)
+    data = np.column_stack([rng.random(n), sums])
+    store = ColumnStore(data)
+    assert (store._sum_base[1] is not None) == (values == "int")
+    q = query_from_dict(2, {0: (0.0, frac)}, agg="sum", agg_dim=1)
+    benchmark.name = f"scan sum {values} 80k rows {frac:.0%} selected"
+    out = benchmark(lambda: store.scan([0], [n], [False], q))
+    m = q.mask(data)
+    assert out.n_matched == np.count_nonzero(m)
+    assert out.value == data[m, 1].sum()
 
 
 @pytest.mark.benchmark(group="calibration")

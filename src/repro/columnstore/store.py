@@ -21,6 +21,12 @@ and implements the paper's two scan optimizations:
   prefix sums' rounding (a few small values far down a long column) is
   summed directly.
 
+A query pays for the rows it reads and little else: one Python pass over
+its ranges drops the empty ones, gathers the exact ones for one vectorized
+prefix-sum step and lays the inexact ones out as slices, and a SUM selects
+its matching rows with ``compress`` (the rows a boolean index gives, up
+to 2–3× faster in numpy 1.26).
+
 The paper's store compresses its columns. Ours keeps every column as
 float64, which the prefix sums and :meth:`ColumnStore.matrix` read, and
 beside a column a narrow *filter copy* (:func:`filter_copy`) when one is
@@ -57,7 +63,8 @@ from repro.core.query import AGG_SUM, Query, QueryResult
 
 #: exact-range SUMs from prefix sums keep at most this relative error
 SUM_RTOL = 1e-10
-#: rows per block of the prefix-sum error pass (bounds its temporaries)
+#: rows per block of the prefix-sum error pass and of the dictionary's
+#: ranking (bounds their temporaries)
 _BLOCK = 1 << 16
 #: the filter copy's code types, narrowest first
 _CODE_TYPES = (np.uint8, np.uint16, np.uint32)
@@ -164,7 +171,8 @@ def dictionary(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     values ``u`` (``np.unique``: NaN collapses into one value, placed
     last, and ``-0.0`` and ``0.0`` into one) and each row's rank
     ``u.searchsorted(v)`` in the narrowest unsigned type that holds
-    ``u.size − 1``.
+    ``u.size − 1``, ranked one ``_BLOCK`` of rows at a time so that the
+    int64 ranks never take 8 bytes a row of the whole column.
 
     ``None`` unless the codes and the dictionary together take fewer bytes
     than the column itself: a column of many distinct values keeps no copy."""
@@ -172,7 +180,10 @@ def dictionary(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     code = next((t for t in _CODE_TYPES if u.size - 1 <= np.iinfo(t).max), None)
     if code is None or c.size * np.dtype(code).itemsize + u.nbytes >= c.nbytes:
         return None
-    return u.searchsorted(c).astype(code), u
+    codes = np.empty(c.size, dtype=code)
+    for i in range(0, c.size, _BLOCK):
+        codes[i:i + _BLOCK] = u.searchsorted(c[i:i + _BLOCK])
+    return codes, u
 
 
 def filter_copy(c: np.ndarray, nc: tuple[np.ndarray, int, int] | None):
@@ -242,49 +253,59 @@ class ColumnStore:
 
     def scan(self, starts: np.ndarray, ends: np.ndarray, exact: np.ndarray,
              q: Query, met_dim: int | None = None) -> QueryResult:
-        """Scan the physical ranges ``[starts[k], ends[k])``; ranges with
-        ``exact[k]`` skip filter checks (§7.1), and empty or inverted ones
-        scan nothing. Returns the query's record with the aggregate, the
-        counters and ``scan_time`` filled in.
+        """Scan the physical ranges ``[starts[k], ends[k])`` (arrays or
+        lists); ranges with ``exact[k]`` skip filter checks (§7.1), and
+        empty or inverted ones scan nothing. Returns the query's record
+        with the aggregate, the counters and ``scan_time`` filled in.
 
         ``met_dim`` names the one dimension whose filter every row of the
         ranges already meets, as the index located them exactly in it
         (Flood's refined sort dimension, the clustered index's dimension):
         the scan skips its check.
 
-        Each other filtered column (and the SUM column) of the inexact
-        ranges is read as slices concatenated in range order (one slice
-        stays a view); an inexact range that starts where the previous one
-        ends extends its slice, so ``n_ranges``, the exact ranges plus the
-        slices read, counts touching inexact ranges once. Exact ranges never
-        merge: each is one prefix-sum difference already. A column with a
-        filter copy is filtered on its codes (:func:`filter_copy`): one
-        compare, or none when the bounds hold all its values, and a range
-        that holds none of them matches no row. The matched rows, in the
-        same order, are those the float64 compare finds, and a SUM over an
-        :func:`exact_sums` column adds its codes, so COUNT and SUM are the
-        same to the bit. The slices cost about half a microsecond each per
-        column, so many short slices (a few rows each, as from a fine grid)
-        scan slower than long ones of the same total size: the cost model
-        prices that through its ``avg_run_len`` feature. The timer covers
-        only this function: indexes time their own projection/refinement
-        and report it separately (Table 2's IT).
+        One Python pass over the ranges sorts them out: it drops the empty
+        ones, gathers the exact ones, whose COUNT is their length and whose
+        SUM is one vectorized prefix-sum difference each, and lays the
+        inexact ones out as slices, where an inexact range that starts
+        where the previous inexact range ends extends its slice. Exact
+        ranges never merge, so ``n_ranges`` is the exact ranges plus the
+        slices read. Each other filtered column (and the SUM column) of the
+        slices is read concatenated in range order (one slice stays a
+        view). A column with a filter copy is filtered on its codes
+        (:func:`filter_copy`): one compare, or none when the bounds hold all
+        its values, and a range that holds none of them matches no row. The
+        matched rows, in the same order, are those the float64 compare
+        finds; a SUM selects them with ``compress`` and, over an
+        :func:`exact_sums` column, adds their codes, so COUNT and SUM are
+        the same to the bit. The slices cost about half a microsecond each
+        per column, so many short slices (a few rows each, as from a fine
+        grid) scan slower than long ones of the same total size: the cost
+        model prices that through its ``avg_run_len`` feature. The timer
+        covers only this function: indexes time their own
+        projection/refinement and report it separately (Table 2's IT).
         """
         t0 = time.perf_counter()
-        starts = np.asarray(starts, dtype=np.int64)
-        ends = np.asarray(ends, dtype=np.int64)
-        exact = np.asarray(exact, dtype=bool)
-        keep = ends > starts
-        ex = keep & exact
-        inex = keep ^ ex
+        ex_s, ex_e, in_s, in_e = [], [], [], []
+        stop = None  # where the last inexact range ended
+        for s, e, x in zip(np.asarray(starts).tolist(), np.asarray(ends).tolist(),
+                           np.asarray(exact).tolist()):
+            if e <= s:
+                continue
+            if x:
+                ex_s.append(s)
+                ex_e.append(e)
+            elif s == stop:  # it continues the last slice
+                in_e[-1] = stop = e
+            else:
+                in_s.append(s)
+                in_e.append(e)
+                stop = e
         want_sum = q.agg == AGG_SUM
         agg_col = self.cols[q.agg_dim] if want_sum else None
         total = 0.0
 
-        n_exact = n_scanned = n_matched = 0
-        if np.count_nonzero(ex):
-            ex_s, ex_e = starts[ex], ends[ex]
-            n_exact = n_scanned = n_matched = int((ex_e - ex_s).sum())
+        n_exact = n_scanned = n_matched = sum(ex_e) - sum(ex_s)
+        if n_exact:
             if not want_sum:
                 total += n_exact
             else:
@@ -299,13 +320,8 @@ class ColumnStore:
                     for k in np.flatnonzero(direct).tolist():
                         sums[k] = agg_col[ex_s[k]:ex_e[k]].sum()
                     total += float(sums.sum())
-        slices = []
-        if np.count_nonzero(inex):
-            in_s, in_e = starts[inex].tolist(), ends[inex].tolist()
-            for s, e in zip(in_s, in_e):
-                if slices and slices[-1].stop == s:  # it continues the last slice
-                    s = slices.pop().start
-                slices.append(slice(s, e))
+        slices = list(map(slice, in_s, in_e))
+        if slices:
             m = sum(in_e) - sum(in_s)
             n_scanned += m
             mask = None
@@ -348,7 +364,8 @@ class ColumnStore:
                 base = self._sum_base[q.agg_dim] if k <= self.n else None
                 vals = _take(agg_col if base is None else self._codes[q.agg_dim][0], slices)
                 if mask is not None:
-                    vals = vals[mask]
+                    # the same rows as vals[mask], selected up to 2-3x faster
+                    vals = vals.compress(mask)
                 if base is not None:
                     total += float(int(np.add.reduce(vals, dtype=np.int64)) + base * k)
                 else:
@@ -359,7 +376,7 @@ class ColumnStore:
             n_scanned=n_scanned,
             n_matched=n_matched,
             n_exact=n_exact,
-            n_ranges=int(np.count_nonzero(ex)) + len(slices),
+            n_ranges=len(ex_s) + len(slices),
             scan_time=time.perf_counter() - t0,
         )
 

@@ -7,8 +7,8 @@ import pytest
 
 from contextlib import nullcontext
 
-from repro.columnstore.store import (SUM_RTOL, ColumnStore, _take, dictionary, exact_sums, narrow,
-                                     prefix_sums)
+from repro.columnstore.store import (_BLOCK, SUM_RTOL, ColumnStore, _take, dictionary, exact_sums,
+                                     narrow, prefix_sums)
 from repro.core.query import AGG_SUM, Query, QueryResult, query_from_dict
 
 
@@ -107,14 +107,10 @@ def test_touching_inexact_ranges_read_as_one_slice(data):
         assert st.scan([0, 100, 200], [100, 200, 300], [False, True, False], q).n_ranges == 3
 
 
-def test_many_random_ranges_match_brute_force(data):
-    """1000 ranges: exact and filtered, empty and inverted, COUNT and SUM."""
-    st = ColumnStore(data)
-    rng = np.random.default_rng(21)
-    starts = rng.integers(0, 1001, 1000)
-    ends = np.where(rng.random(1000) < 0.2, starts - rng.integers(0, 3, 1000),
-                    starts + rng.integers(0, 40, 1000)).clip(0, 1000)
-    exact = rng.random(1000) < 0.5
+def _assert_brute_force(st: ColumnStore, data: np.ndarray, starts, ends, exact) -> None:
+    """The scan of the ranges, COUNT and SUM, filtered or not, counts and
+    sums the rows ``Query.mask`` finds in them (every row of an exact
+    range), and ``n_ranges`` follows :func:`_ranges_read`."""
     rows = [(i, bool(x)) for s, e, x in zip(starts, ends, exact) for i in range(s, e)]
     for q in (query_from_dict(3, {0: (2.0, 7.0)}),
               query_from_dict(3, {0: (2.0, 7.0), 2: (1.0, 9.0)}, agg=AGG_SUM, agg_dim=1),
@@ -131,6 +127,83 @@ def test_many_random_ranges_match_brute_force(data):
             assert abs(s.value - math.fsum(x)) <= 1e-9 * math.fsum(np.abs(x))
         else:
             assert s.value == len(hit)
+
+
+def test_many_random_ranges_match_brute_force(data):
+    """1000 ranges: exact and filtered, empty and inverted, COUNT and SUM."""
+    rng = np.random.default_rng(21)
+    starts = rng.integers(0, 1001, 1000)
+    ends = np.where(rng.random(1000) < 0.2, starts - rng.integers(0, 3, 1000),
+                    starts + rng.integers(0, 40, 1000)).clip(0, 1000)
+    exact = rng.random(1000) < 0.5
+    _assert_brute_force(ColumnStore(data), data, starts, ends, exact)
+
+
+@pytest.mark.parametrize("starts, ends, exact, n_ranges", [
+    # an exact range between touching inexact ranges keeps them apart
+    ([0, 100, 200], [100, 200, 300], [False, True, False], 3),
+    # inexact ranges touching across an exact one listed between them merge
+    ([0, 500, 100], [100, 600, 300], [False, True, False], 2),
+    # empty and inverted ranges first, in the middle and last
+    ([50, 0, 100, 100, 90, 300], [50, 100, 100, 200, 80, 250],
+     [False, False, False, False, True, False], 1),
+    ([50, 0, 100, 150, 90, 300], [50, 100, 100, 200, 80, 250],
+     [True, False, True, False, True, False], 2),
+    ([7, 0, 300, 100], [3, 100, 300, 200], [True, False, False, False], 1),
+    ([0, 400, 100, 20], [100, 400, 200, 10], [False, True, False, True], 1),
+    # every range exact, touching or not
+    ([0, 100, 500, 10], [100, 300, 900, 990], [True, True, True, True], 4),
+    # every range empty or inverted, exact or not
+    ([5, 9, 1000, 300], [5, 3, 1000, 0], [True, False, False, True], 0),
+    ([], [], [], 0),
+])
+@pytest.mark.parametrize("as_arrays", [False, True])
+def test_one_pass_over_ranges(data, starts, ends, exact, n_ranges, as_arrays):
+    """The scan's one pass over the ranges, given as Python lists or as
+    arrays, drops the empty and inverted ones wherever they stand, never
+    merges a slice across an exact range, and counts ``n_ranges`` by the
+    rule of :func:`_ranges_read`."""
+    assert _ranges_read(starts, ends, exact) == n_ranges
+    if as_arrays:
+        starts, ends = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+        exact = np.array(exact, dtype=bool)
+    _assert_brute_force(ColumnStore(data), data, starts, ends, exact)
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.03, 0.5, 1.0])
+@pytest.mark.parametrize("many", [False, True])
+def test_sum_selects_the_masked_rows_to_the_bit(frac, many):
+    """A filtered SUM over one slice (a view) or many equals numpy's sum of
+    ``vals[mask]`` to the bit, with none, about 3%, about half or all of
+    the rows selected, over a code column, a float column and one whose
+    sums overflow and meet ±inf (:func:`wild_sums`)."""
+    n = 20_000
+    rng = np.random.default_rng(43)
+    wild = rng.lognormal(0, 2, n) * rng.choice([-1.0, 1.0], n)
+    wild[rng.random(n) < 0.002] = np.inf
+    wild[rng.random(n) < 0.002] = -np.inf
+    wild[rng.random(n) < 0.01] = 1e308
+    data = np.column_stack([rng.random(n), rng.integers(0, 1000, n).astype(float),
+                            rng.lognormal(0, 2, n), wild])
+    st = ColumnStore(data)
+    assert st._sum_base[1] is not None and st._sum_base[2] is None
+    assert st._wild == [False, False, False, True]
+    if many:
+        starts = np.sort(rng.choice(n - 100, 200, replace=False))
+        ends = starts + rng.integers(1, 100, 200)
+    else:
+        starts, ends = np.array([1000]), np.array([n - 1000])
+    slices = list(map(slice, starts.tolist(), ends.tolist()))
+    lo, hi = (2.0, 3.0) if frac == 0.0 else (0.0, frac)
+    for agg_dim in (1, 2, 3):
+        q = query_from_dict(4, {0: (lo, hi)}, agg=AGG_SUM, agg_dim=agg_dim)
+        got = st.scan(starts, ends, np.zeros(starts.size, dtype=bool), q)
+        mask = q.mask(_take(data, slices))
+        assert abs(mask.mean() - frac) < 0.02
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(_take(data[:, agg_dim], slices)[mask].sum())
+        assert got.n_matched == np.count_nonzero(mask)
+        assert got.value.hex() == want.hex(), agg_dim
 
 
 def test_prefix_sums_are_correctly_rounded():
@@ -516,6 +589,25 @@ def test_dictionary_codes_rank_the_distinct_values():
         assert np.isnan(values[:-1]).sum() == 0, j
         np.testing.assert_array_equal(values[codes], col, err_msg=str(j))
     assert dictionary(np.array([-0.0, 0.0, 1.5, -0.0]))[0].tolist() == [0, 0, 1, 0]
+
+
+@pytest.mark.parametrize("values", [
+    [np.nan, -0.0, 0.0, np.inf, -np.inf, 1.5, -2.5],  # NaN, ±0.0 and ±inf
+    [np.nan, 0.25],
+    [-np.inf, np.inf],
+    [3.5],  # a single distinct value
+    [np.nan],
+])
+def test_dictionary_ranks_block_by_block(values):
+    """Ranking a block of rows at a time gives the codes of one
+    ``searchsorted`` over the whole column, at a length that is not a
+    multiple of the block."""
+    n = 2 * _BLOCK + 123
+    col = np.random.default_rng(47).choice(np.array(values), n)
+    codes, u = dictionary(col)
+    assert codes.dtype == np.uint8 and codes.size == n
+    np.testing.assert_array_equal(codes, u.searchsorted(col).astype(np.uint8))
+    np.testing.assert_array_equal(u[codes], col)
 
 
 @pytest.mark.parametrize("n, n_distinct, kept", [(8, 6, True), (8, 7, False),
